@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 from scipy.signal import get_window
@@ -27,6 +27,7 @@ from .signals import SignalRecord
 
 _EXCITED_DETECT_REL = 1e-9
 _EXCITED_MIN_REL = 1e-12
+_N_SK_ITERS = 20
 
 
 @dataclass
@@ -55,10 +56,6 @@ class NonparametricBla:
     def omegas(self) -> np.ndarray:
         return 2.0 * np.pi * self.excited_bins / self.n_fft
 
-    def scaled(self, c: complex) -> "NonparametricBla":
-        return NonparametricBla(self.excited_bins, c * self.frf,
-                                self.weight.copy(), self.n_fft)
-
 
 @dataclass(frozen=True)
 class BlaFitConfig:
@@ -69,8 +66,6 @@ class BlaFitConfig:
     n_b: int
     max_iters: int = 100
     rel_tol: float = 1e-10
-    weighting: Union[str, Sequence[float]] = "uniform"
-    n_sk_iters: int = 20
 
     def validate(self) -> None:
         if self.n_a < 0 or self.n_b < 0:
@@ -210,17 +205,6 @@ def estimate_frf_welch(u: SignalRecord, y: SignalRecord,
 # Parametric fit
 # ---------------------------------------------------------------------------
 
-def _resolve_weights(frf: NonparametricBla, cfg: BlaFitConfig) -> np.ndarray:
-    if isinstance(cfg.weighting, str):
-        if cfg.weighting != "uniform":
-            raise InvalidSpecError(f"unknown weighting {cfg.weighting!r}")
-        return frf.weight.copy()
-    w = np.asarray(cfg.weighting, dtype=float)
-    if len(w) != len(frf.frf) or np.any(w <= 0):
-        raise InvalidSpecError("user weights must be positive and align with the FRF")
-    return w
-
-
 def _unit_norm(theta: np.ndarray) -> np.ndarray:
     theta = theta / np.linalg.norm(theta)
     pivot = np.argmax(np.abs(theta))
@@ -245,7 +229,7 @@ def fit_rational(frf: NonparametricBla, cfg: BlaFitConfig) -> BlaFitResult:
             f"{n_bins} excited bins cannot determine {cfg.n_a + cfg.n_b + 2} parameters"
         )
 
-    w_user = _resolve_weights(frf, cfg)
+    w = frf.weight
     om = frf.omegas
     scale = float(np.median(np.abs(frf.frf)))
     if scale == 0.0:
@@ -255,7 +239,7 @@ def fit_rational(frf: NonparametricBla, cfg: BlaFitConfig) -> BlaFitResult:
     na, nb = cfg.n_a, cfg.n_b
     ea = np.exp(-1j * np.outer(om, np.arange(na + 1)))
     eb = np.exp(-1j * np.outer(om, np.arange(nb + 1)))
-    sqw = np.sqrt(w_user)
+    sqw = np.sqrt(w)
 
     def split(theta):
         return theta[: na + 1], theta[na + 1:]
@@ -265,7 +249,7 @@ def fit_rational(frf: NonparametricBla, cfg: BlaFitConfig) -> BlaFitResult:
         den = ea @ a
         if np.any(np.abs(den) < 1e-300):
             return np.inf
-        return float(np.mean(w_user * np.abs(g - (eb @ b) / den) ** 2))
+        return float(np.mean(w * np.abs(g - (eb @ b) / den) ** 2))
 
     def linearized(den_weight):
         m = np.hstack([
@@ -285,7 +269,7 @@ def fit_rational(frf: NonparametricBla, cfg: BlaFitConfig) -> BlaFitResult:
     best_theta, best_cost = theta, cost(theta)
     trace.append(best_cost)
 
-    for _ in range(cfg.n_sk_iters):
+    for _ in range(_N_SK_ITERS):
         a, _ = split(theta)
         den = np.abs(ea @ a)
         theta = linearized(1.0 / np.maximum(den, 1e-12))

@@ -18,7 +18,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import experiments, gobf, pipeline
-from .errors import EstimationError, InvalidSpecError
+from .errors import (
+    EstimationError,
+    InvalidSpecError,
+    RankDeficiencyError,
+    SingularityError,
+    UnstableFilterError,
+)
 from .pipeline import IdentifyConfig, WienerModel, WienerSystem
 from .ratfun import ZERO_INITIAL
 from .signals import (
@@ -34,6 +40,13 @@ VERSION = "0.1.0"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# Failures of the computation itself, as opposed to bad input.
+NUMERICAL_ERRORS = (UnstableFilterError, SingularityError, RankDeficiencyError,
+                    np.linalg.LinAlgError, EstimationError)
+# What parsing a model or signal file raises on bad content (JSON syntax
+# errors are ValueErrors).
+MALFORMED_FILE_ERRORS = (LookupError, TypeError, ValueError)
 
 
 class CliError(Exception):
@@ -73,11 +86,20 @@ def _load_config(path) -> dict:
         raise CliError("a --config file is required")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise CliError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise CliError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise CliError(f"config file {path} must hold a JSON object")
+    return doc
+
+
+def _check_keys(doc: dict, known, context: str) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise CliError(f"{context}: unknown key(s) {', '.join(unknown)}")
 
 
 def _require(doc: dict, key: str, context: str):
@@ -112,6 +134,8 @@ def _system_from_config(doc: dict) -> WienerSystem:
 def cmd_generate(args) -> int:
     start = time.time()
     doc = _load_config(args.config)
+    _check_keys(doc, ("kind", "name", "seed", "n_samples", "n_freqs",
+                      "sample_period", "target_rms", "variance"), "signal config")
     kind = doc.get("kind", "multisine")
     seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
     out = _out_dir(args)
@@ -159,6 +183,8 @@ def cmd_generate(args) -> int:
 def cmd_simulate(args) -> int:
     start = time.time()
     doc = _load_config(args.config)
+    _check_keys(doc, ("name", "preset", "g", "nonlinearity", "noise"),
+                "system config")
     system = _system_from_config(doc)
     if args.noise_off:
         system = WienerSystem(g=system.g, f=system.f, output_noise=None)
@@ -169,10 +195,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     name = doc.get("name", "simulated")
 
-    try:
-        x, y = pipeline.simulate(system, u, mode=mode)
-    except (InvalidSpecError, EstimationError) as exc:
-        raise CliError(str(exc), code=EXIT_NUMERICAL)
+    x, y = pipeline.simulate(system, u, mode=mode)
 
     outputs = []
     y_path = os.path.join(out, f"{name}_y.csv")
@@ -195,7 +218,10 @@ def cmd_simulate(args) -> int:
 def _read_signal(path, args) -> SignalRecord:
     if not os.path.exists(path):
         raise CliError(f"signal file not found: {path}")
-    record = load_signal(path)
+    try:
+        record = load_signal(path)
+    except MALFORMED_FILE_ERRORS as exc:
+        raise CliError(f"signal file {path} is malformed: {exc!r}")
     if getattr(args, "period", None):
         record = SignalRecord(samples=record.samples, periodic=True,
                               period_samples=args.period)
@@ -203,6 +229,9 @@ def _read_signal(path, args) -> SignalRecord:
 
 
 def _identify_config_from(doc: dict) -> IdentifyConfig:
+    _check_keys(doc, ("name", "n_a", "n_b", "n_rep", "degree", "basis",
+                      "filtering", "frf", "n_periods", "welch_segment"),
+                "identify config")
     try:
         cfg = IdentifyConfig(
             n_a=int(_require(doc, "n_a", "identify config")),
@@ -232,10 +261,7 @@ def cmd_identify(args) -> int:
     out = _out_dir(args)
     name = doc.get("name", "model")
 
-    try:
-        model = pipeline.identify(u, y, cfg)
-    except EstimationError as exc:
-        raise CliError(str(exc), code=EXIT_NUMERICAL)
+    model = pipeline.identify(u, y, cfg)
 
     model_path = os.path.join(out, f"{name}.json")
     model.to_json(model_path)
@@ -267,18 +293,22 @@ def cmd_identify(args) -> int:
     return EXIT_OK
 
 
+def _read_model(path) -> WienerModel:
+    if not os.path.exists(path):
+        raise CliError(f"model file not found: {path}")
+    try:
+        return WienerModel.from_json(path)
+    except MALFORMED_FILE_ERRORS as exc:
+        raise CliError(f"model file {path} is malformed: {exc!r}")
+
+
 def cmd_predict(args) -> int:
     start = time.time()
-    if not os.path.exists(args.model):
-        raise CliError(f"model file not found: {args.model}")
-    model = WienerModel.from_json(args.model)
+    model = _read_model(args.model)
     u = _read_signal(args.u, args)
     out = _out_dir(args)
     name = args.name or "prediction"
-    try:
-        yhat = pipeline.predict(model, u)
-    except (InvalidSpecError, EstimationError) as exc:
-        raise CliError(str(exc), code=EXIT_NUMERICAL)
+    yhat = pipeline.predict(model, u)
     path = os.path.join(out, f"{name}.csv")
     yhat.to_csv(path)
     RunManifest(command="predict", config={"model": args.model}, seeds={},
@@ -291,19 +321,14 @@ def cmd_predict(args) -> int:
 def cmd_scatter(args) -> int:
     """Intermediate-signal scatter pairs (x_hat, y) for shape inspection."""
     start = time.time()
-    if not os.path.exists(args.model):
-        raise CliError(f"model file not found: {args.model}")
-    model = WienerModel.from_json(args.model)
+    model = _read_model(args.model)
     u = _read_signal(args.u, args)
     y = _read_signal(args.y, args)
     out = _out_dir(args)
     name = args.name or "scatter"
     mode = model.provenance.get("config", {}).get("filtering", ZERO_INITIAL)
-    try:
-        X = gobf.bank_outputs(model.bank, u, mode=mode)
-        est = pipeline.estimate_intermediate(model.bank, y, X)
-    except (InvalidSpecError, EstimationError) as exc:
-        raise CliError(str(exc), code=EXIT_NUMERICAL)
+    X = gobf.bank_outputs(model.bank, u, mode=mode)
+    est = pipeline.estimate_intermediate(model.bank, y, X)
     path = os.path.join(out, f"{name}.csv")
     pairs = est.scatter_pairs(y)
     with open(path, "w") as fh:
@@ -321,7 +346,8 @@ def cmd_study(args) -> int:
     start = time.time()
     doc = _load_config(args.config)
     try:
-        cfg = experiments.StudyConfig.from_json_dict(doc)
+        cfg = experiments.StudyConfig.from_json_dict(
+            {k: v for k, v in doc.items() if k != "name"})
     except (KeyError, TypeError, InvalidSpecError) as exc:
         raise CliError(f"invalid study config: {exc}")
     if args.trials is not None:
@@ -343,10 +369,7 @@ def cmd_study(args) -> int:
         prior_records = experiments.StudyResult.read_records_csv(records_path)
         skip = {r.trial for r in prior_records}
 
-    try:
-        result = experiments.run_study(cfg, jobs=args.jobs, skip_trials=skip)
-    except (InvalidSpecError, EstimationError) as exc:
-        raise CliError(str(exc), code=EXIT_NUMERICAL)
+    result = experiments.run_study(cfg, jobs=args.jobs, skip_trials=skip)
 
     if prior_records:
         merged = prior_records + result.records
@@ -455,14 +478,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (InvalidSpecError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EstimationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        error, code = exc, exc.code
+    except NUMERICAL_ERRORS as exc:
+        error, code = exc, EXIT_NUMERICAL
+    except InvalidSpecError as exc:
+        error, code = exc, EXIT_CONFIG
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -29,7 +29,6 @@ from .pipeline import (
     StaticNonlinearity,
     WienerSystem,
     _assemble,
-    _bank_transient,
     estimate_bla_poles,
     identify,
     nrmse,
@@ -37,7 +36,7 @@ from .pipeline import (
     simulate,
     sup_error,
 )
-from .gobf import build_bank
+from .gobf import build_bank, transient_length
 from .ratfun import PERIODIC, ZERO_INITIAL, RationalTF, poles as tf_poles
 from .signals import (
     MultisineSpec,
@@ -182,29 +181,20 @@ class StudyConfig:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "system": self.system.to_json_dict(),
-            "n_trials": self.n_trials,
-            "base_seed": self.base_seed,
-            "n_freqs_grid": list(self.n_freqs_grid),
-            "n_rep_set": list(self.n_rep_set),
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-            "degree": self.degree,
-            "basis": self.basis,
-            "period_per_freq": self.period_per_freq,
-            "input_rms": self.input_rms,
-            "validation_n_freqs": self.validation_n_freqs,
-            "n_samples": self.n_samples,
-            "input_variance": self.input_variance,
-            "welch_segment": self.welch_segment,
-        }
+        doc = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "system":
+                value = value.to_json_dict()
+            elif isinstance(value, (tuple, list)):
+                value = list(value)
+            doc[f.name] = value
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StudyConfig":
-        import dataclasses
-
+        """Inverse of ``to_json_dict``; ``system`` may also name a preset,
+        as a string or as ``{"preset": name}``.  Unknown keys are rejected."""
         doc = dict(doc)
         system = doc.pop("system")
         if isinstance(system, dict) and "preset" in system:
@@ -213,11 +203,10 @@ class StudyConfig:
             system = SYSTEM_PRESETS[system]()
         else:
             system = WienerSystem.from_json_dict(system)
-        known = {f.name for f in dataclasses.fields(cls)} - {"system"}
-        kwargs = {k: v for k, v in doc.items() if k in known}
-        for seq_key in ("n_freqs_grid", "n_rep_set"):
-            if seq_key in kwargs:
-                kwargs[seq_key] = tuple(kwargs[seq_key])
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidSpecError(f"unknown study config key(s): {', '.join(unknown)}")
+        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
         return cls(system=system, **kwargs)
 
 
@@ -476,24 +465,30 @@ def _convergence_validation(cfg: StudyConfig):
     return u_val, y_val
 
 
-def _true_poles(cfg: StudyConfig) -> np.ndarray:
-    return tf_poles(cfg.system.g).poles
+def _periodic_trial_data(cfg: StudyConfig, trial: int, nf: int):
+    """Fresh-phase multisine with ``nf`` excited bins and the system's
+    steady-state response to it."""
+    spec = MultisineSpec(
+        n_samples=cfg.period_per_freq * nf,
+        n_freqs=nf,
+        target_rms=cfg.input_rms,
+        seed=derive_seed(cfg.base_seed, "trial", trial, "nf", nf),
+    )
+    u = generate_multisine(spec)
+    system = cfg.system.with_noise_seed(
+        derive_seed(cfg.base_seed, "trial", trial, "noise", nf))
+    _, y = simulate(system, u, mode=PERIODIC)
+    return u, y
 
 
 def _convergence_trial(cfg: StudyConfig, trial: int, validation) -> list:
+    """Per N_F: identify at each n_rep and record the validation sup-norm
+    error together with the BLA pole error."""
     u_val, y_val = validation
-    truth = _true_poles(cfg)
+    truth = tf_poles(cfg.system.g).poles
     records = []
     for nf in cfg.n_freqs_grid:
-        spec = example1_multisine_spec(
-            nf, seed=derive_seed(cfg.base_seed, "trial", trial, "nf", nf),
-            period_per_freq=cfg.period_per_freq)
-        spec = replace(spec, target_rms=cfg.input_rms)
-        u = generate_multisine(spec)
-        system = cfg.system.with_noise_seed(
-            derive_seed(cfg.base_seed, "trial", trial, "noise", nf))
-        _, y = simulate(system, u, mode=PERIODIC)
-
+        u, y = _periodic_trial_data(cfg, trial, nf)
         icfg = cfg.identify_config(n_rep=max(cfg.n_rep_set), periodic=True)
         try:
             pole_set, fit = estimate_bla_poles(u, y, icfg)
@@ -525,18 +520,11 @@ def _convergence_trial(cfg: StudyConfig, trial: int, validation) -> list:
     return records
 
 
-def _pole_rate_trial(cfg: StudyConfig, trial: int, validation=None) -> list:
-    truth = _true_poles(cfg)
+def _pole_rate_trial(cfg: StudyConfig, trial: int, validation) -> list:
+    truth = tf_poles(cfg.system.g).poles
     records = []
     for nf in cfg.n_freqs_grid:
-        spec = example1_multisine_spec(
-            nf, seed=derive_seed(cfg.base_seed, "trial", trial, "nf", nf),
-            period_per_freq=cfg.period_per_freq)
-        spec = replace(spec, target_rms=cfg.input_rms)
-        u = generate_multisine(spec)
-        system = cfg.system.with_noise_seed(
-            derive_seed(cfg.base_seed, "trial", trial, "noise", nf))
-        _, y = simulate(system, u, mode=PERIODIC)
+        u, y = _periodic_trial_data(cfg, trial, nf)
         try:
             _, fit = estimate_bla_poles(u, y, cfg.identify_config(1, periodic=True))
             records.append(TrialRecord(
@@ -548,7 +536,10 @@ def _pole_rate_trial(cfg: StudyConfig, trial: int, validation=None) -> list:
     return records
 
 
-def _noise_trial(cfg: StudyConfig, trial: int, validation=None) -> list:
+def _noise_trial(cfg: StudyConfig, trial: int, validation) -> list:
+    """Estimation and validation Gaussian records; one model per repetition
+    count, scored by NRMSE against the noisy validation output; the
+    validation-NRMSE minimizer is flagged as selected."""
     u_est = generate_gaussian(
         cfg.n_samples, variance=cfg.input_variance,
         seed=derive_seed(cfg.base_seed, "trial", trial, "u-est"))
@@ -575,7 +566,7 @@ def _noise_trial(cfg: StudyConfig, trial: int, validation=None) -> list:
         try:
             model = identify(u_est, y_est, icfg)
             yhat = predict(model, u_val)
-            discard = _bank_transient(model.bank, cfg.n_samples)
+            discard = transient_length(model.bank, cfg.n_samples)
             err = nrmse(y_val, yhat, discard=discard)
             scores[n_rep] = err
             records.append(TrialRecord(cfg.kind, trial, n_rep=n_rep,
@@ -599,8 +590,10 @@ _TRIAL_RUNNERS = {
 }
 
 
-def _run_study(cfg: StudyConfig, jobs: int = 1,
-               skip_trials: Optional[set] = None) -> StudyResult:
+def run_study(cfg: StudyConfig, jobs: int = 1,
+              skip_trials: Optional[set] = None) -> StudyResult:
+    """Run every trial of ``cfg`` not in ``skip_trials`` on ``jobs`` worker
+    processes; records come back in trial order whatever the worker count."""
     cfg.validate()
     runner = _TRIAL_RUNNERS[cfg.kind]
     validation = _convergence_validation(cfg) if cfg.kind == CONVERGENCE else None
@@ -617,34 +610,3 @@ def _run_study(cfg: StudyConfig, jobs: int = 1,
             for fut in futures:  # submission order keeps records deterministic
                 records.extend(fut.result())
     return StudyResult(config=cfg, records=records)
-
-
-def run_convergence_study(cfg: StudyConfig, jobs: int = 1,
-                          skip_trials: Optional[set] = None) -> StudyResult:
-    """Per (trial, N_F): fresh phases, identify at each n_rep, record the
-    validation sup-norm error (and the pole error for the rate study)."""
-    if cfg.kind != CONVERGENCE:
-        cfg = replace(cfg, kind=CONVERGENCE)
-    return _run_study(cfg, jobs=jobs, skip_trials=skip_trials)
-
-
-def run_pole_rate_study(cfg: StudyConfig, jobs: int = 1,
-                        skip_trials: Optional[set] = None) -> StudyResult:
-    if cfg.kind != POLE_RATE:
-        cfg = replace(cfg, kind=POLE_RATE)
-    return _run_study(cfg, jobs=jobs, skip_trials=skip_trials)
-
-
-def run_noise_study(cfg: StudyConfig, jobs: int = 1,
-                    skip_trials: Optional[set] = None) -> StudyResult:
-    """Estimation + validation Gaussian data sets per trial; one model per
-    repetition count; NRMSE against the noisy validation output; the
-    validation-NRMSE minimizer is flagged as selected."""
-    if cfg.kind not in (NOISE, MODEL_SELECT):
-        cfg = replace(cfg, kind=NOISE)
-    return _run_study(cfg, jobs=jobs, skip_trials=skip_trials)
-
-
-def run_study(cfg: StudyConfig, jobs: int = 1,
-              skip_trials: Optional[set] = None) -> StudyResult:
-    return _run_study(cfg, jobs=jobs, skip_trials=skip_trials)

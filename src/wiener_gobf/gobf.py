@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -110,14 +109,6 @@ class GobfBank:
             return np.array([], dtype=complex)
         return np.tile(self.base_poles, self.n_rep)
 
-    @cached_property
-    def realization(self) -> list:
-        """Cascade descriptor per dynamic function: its pole and the all-pass
-        poles preceding it."""
-        seq = self.pole_sequence
-        return [{"pole": seq[l], "allpass_poles": seq[:l].copy()}
-                for l in range(len(seq))]
-
     def sub_bank(self, n_rep: int) -> "GobfBank":
         if n_rep > self.n_rep:
             raise InvalidSpecError("sub_bank cannot extend the repetition count")
@@ -146,6 +137,18 @@ def build_bank(poles: Union[PoleSet, np.ndarray], n_rep: int,
     """Construct the bank from a stable, conjugate-closed pole set."""
     p = poles.poles if isinstance(poles, PoleSet) else np.asarray(poles, dtype=complex)
     return GobfBank(base_poles=p, n_rep=n_rep, include_constant=include_constant)
+
+
+def transient_length(bank: GobfBank, n: int) -> int:
+    """Rows to drop so zero-initial bank outputs have settled (1e-8 decay,
+    capped at a quarter of the record)."""
+    if bank.n_dynamic == 0:
+        return 0
+    radius = float(np.max(np.abs(bank.base_poles)))
+    if radius <= 0.0:
+        return min(bank.n_dynamic, n // 4)
+    t = int(np.ceil(np.log(1e-8) / np.log(radius))) + bank.n_dynamic
+    return max(0, min(t, n // 4))
 
 
 # ---------------------------------------------------------------------------

@@ -201,18 +201,6 @@ class WienerModel:
             return cls.from_json_dict(json.load(fh))
 
 
-def _bank_transient(bank: gobf.GobfBank, n: int) -> int:
-    """Rows to drop so zero-initial bank outputs have settled (1e-8 decay,
-    capped at a quarter of the record)."""
-    if bank.n_dynamic == 0:
-        return 0
-    radius = float(np.max(np.abs(bank.base_poles)))
-    if radius <= 0.0:
-        return min(bank.n_dynamic, n // 4)
-    t = int(np.ceil(np.log(1e-8) / np.log(radius))) + bank.n_dynamic
-    return max(0, min(t, n // 4))
-
-
 def estimate_bla_poles(u: SignalRecord, y: SignalRecord,
                        cfg: IdentifyConfig) -> tuple[PoleSet, bla.BlaFitResult]:
     """Steps 1a-1c: nonparametric FRF, rational fit, stabilized poles."""
@@ -238,7 +226,8 @@ def _assemble(u: SignalRecord, y: SignalRecord, bank: gobf.GobfBank,
         X = gobf.bank_outputs(bank, u, mode=cfg.filtering)
     except Exception as exc:
         raise EstimationError("bank-outputs", str(exc)) from exc
-    discard = _bank_transient(bank, len(u.samples)) if cfg.filtering == ZERO_INITIAL else 0
+    discard = gobf.transient_length(bank, len(u.samples)) \
+        if cfg.filtering == ZERO_INITIAL else 0
     try:
         poly = polymodel.fit_poly_model(X[discard:], y.samples[discard:],
                                         degree=cfg.degree, basis=cfg.basis)
@@ -336,20 +325,3 @@ def sup_error(y, yhat, discard: int = 0) -> float:
     ya = y.samples if isinstance(y, SignalRecord) else np.asarray(y, dtype=float)
     yh = yhat.samples if isinstance(yhat, SignalRecord) else np.asarray(yhat, dtype=float)
     return float(np.max(np.abs(ya[discard:] - yh[discard:])))
-
-
-def select_n_rep(u_est: SignalRecord, y_est: SignalRecord,
-                 u_val: SignalRecord, y_val: SignalRecord,
-                 cfg: IdentifyConfig, n_rep_candidates) -> tuple[int, dict]:
-    """Fit one model per candidate repetition count and pick the validation
-    NRMSE minimizer; once the error starts rising, variance outweighs the
-    shrinking model error and fewer repetitions win."""
-    scores = {}
-    for n_rep in n_rep_candidates:
-        model = identify(u_est, y_est, replace(cfg, n_rep=n_rep))
-        yhat = predict(model, u_val)
-        discard = _bank_transient(model.bank, len(u_val.samples)) \
-            if cfg.filtering == ZERO_INITIAL else 0
-        scores[n_rep] = nrmse(y_val, yhat, discard=discard)
-    best = min(scores, key=scores.get)
-    return best, scores

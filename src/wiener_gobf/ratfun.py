@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy.signal import lfilter
@@ -155,27 +154,6 @@ def zeros(tf: RationalTF) -> PoleSet:
     return PoleSet(poles=_symmetrize_conjugates(np.roots(b)))
 
 
-def transient_length(tf: RationalTF, n_max: int, tol: float = 1e-8) -> int:
-    """Samples after which the impulse response stays below tol * peak.
-
-    Capped at n_max // 4; used to discard start-up transients when filtering
-    non-periodic data from zero initial conditions.
-    """
-    cap = max(1, n_max // 4)
-    impulse = np.zeros(cap)
-    impulse[0] = 1.0
-    h = lfilter(tf.b, tf.a, impulse)
-    mags = np.abs(h)
-    peak = mags.max()
-    if peak == 0.0:
-        return 0
-    keep = np.nonzero(mags >= tol * peak)[0]
-    if len(keep) == 0:
-        return 0
-    t = int(keep[-1]) + 1
-    return min(t, cap)
-
-
 def filter_time(tf: RationalTF, u: SignalRecord, mode: str = PERIODIC) -> SignalRecord:
     """Apply the filter to a signal record.
 
@@ -198,13 +176,3 @@ def filter_time(tf: RationalTF, u: SignalRecord, mode: str = PERIODIC) -> Signal
         y = lfilter(tf.b, tf.a, u.samples)
         return SignalRecord(samples=np.asarray(y, dtype=float))
     raise InvalidSpecError(f"unknown filtering mode {mode!r}")
-
-
-def cascade(tfs: Iterable[RationalTF]) -> RationalTF:
-    """Product of transfer functions by polynomial convolution."""
-    b = np.array([1.0])
-    a = np.array([1.0])
-    for tf in tfs:
-        b = np.convolve(b, tf.b)
-        a = np.convolve(a, tf.a)
-    return RationalTF(b=b, a=a)

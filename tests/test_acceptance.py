@@ -25,8 +25,7 @@ from wiener_gobf.experiments import (
     example2_polynomial_system,
     example2_system,
     fit_loglog_slope,
-    run_convergence_study,
-    run_noise_study,
+    run_study,
 )
 from wiener_gobf.gobf import (
     bank_outputs,
@@ -79,7 +78,7 @@ def convergence_result():
     cfg = StudyConfig(kind=CONVERGENCE, system=example1_system(), n_trials=20,
                       base_seed=BASE_SEED, n_freqs_grid=NF_GRID,
                       n_rep_set=(1, 2, 3), validation_n_freqs=10922)
-    return run_convergence_study(cfg, jobs=2)
+    return run_study(cfg, jobs=2)
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +86,7 @@ def noise_result_static_vs_one():
     cfg = StudyConfig(kind=NOISE, system=example2_polynomial_system(),
                       n_trials=200, base_seed=BASE_SEED + 1, n_rep_set=(0, 1),
                       n_a=2, n_b=2, degree=3, n_samples=1000)
-    return run_noise_study(cfg, jobs=2)
+    return run_study(cfg, jobs=2)
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +271,7 @@ def test_supplementary_noise_floor_nested_dynamic_models():
     cfg = StudyConfig(kind=NOISE, system=example2_polynomial_system(),
                       n_trials=200, base_seed=BASE_SEED + 5, n_rep_set=(1, 2),
                       n_a=2, n_b=2, degree=3, n_samples=1000)
-    result = run_noise_study(cfg, jobs=2)
+    result = run_study(cfg, jobs=2)
     by, floor, _, sel1 = _noise_stats(result, (1, 2))
     med1, med2 = np.median(by[1]), np.median(by[2])
     ok = (abs(med1 - floor) < 0.2 * floor and abs(med2 - floor) < 0.2 * floor

@@ -130,10 +130,11 @@ class TestFitRational:
         assert min_assignment_err(fit1.poles.poles, fit2.poles.poles) < 1e-9
 
     def test_weight_scaling_invariance(self):
-        frf = synth_frf(EX1)
-        cfg1 = BlaFitConfig(n_a=3, n_b=3, weighting="uniform")
-        cfg2 = BlaFitConfig(n_a=3, n_b=3, weighting=10.0 * np.ones(len(frf.frf)))
-        fit1, fit2 = fit_rational(frf, cfg1), fit_rational(frf, cfg2)
+        frf1 = synth_frf(EX1)
+        frf2 = NonparametricBla(frf1.excited_bins, frf1.frf,
+                                10.0 * frf1.weight, frf1.n_fft)
+        cfg = BlaFitConfig(n_a=3, n_b=3)
+        fit1, fit2 = fit_rational(frf1, cfg), fit_rational(frf2, cfg)
         assert min_assignment_err(fit1.poles.poles, fit2.poles.poles) < 1e-9
         np.testing.assert_allclose(fit2.final_cost, 10.0 * fit1.final_cost,
                                    rtol=1e-6, atol=1e-18)

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wiener_gobf
 from wiener_gobf.cli import main
 from wiener_gobf.signals import SignalRecord
 
@@ -264,3 +267,56 @@ class TestStudy:
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
+
+
+# Each case: argument template (placeholders name the files built below),
+# the exit code, and a text the error message must contain.
+MALFORMED_INPUT_CASES = {
+    "simulate-unstable-system": (
+        ["simulate", "--config", "{unstable}", "--input", "{u}"], 3, "stable"),
+    "predict-model-without-poles": (
+        ["predict", "--model", "{no_poles}", "--u", "{u}"], 2, "base_poles"),
+    "predict-non-json-model": (
+        ["predict", "--model", "{garbage}", "--u", "{u}"], 2, "model file"),
+    "scatter-non-json-model": (
+        ["scatter", "--model", "{garbage}", "--u", "{u}", "--y", "{u}"], 2,
+        "model file"),
+    "simulate-non-json-signal": (
+        ["simulate", "--config", "{identity}", "--input", "{garbage}"], 2,
+        "signal file"),
+    "study-unknown-key": (["study", "--config", "{study_typo}"], 2, "n_trails"),
+    "identify-unknown-key": (
+        ["identify", "--config", "{identify_typo}", "--u", "{u}", "--y", "{u}"],
+        2, "degre"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUT_CASES))
+def test_malformed_input_exits_cleanly(case, tmp_path, out):
+    """Bad files and numerically impossible requests end in exit 2 or 3
+    with a one-line message, never a traceback."""
+    template, code, message = MALFORMED_INPUT_CASES[case]
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("this is not JSON {")
+    files = {
+        "u": gen_multisine(tmp_path, out, n=256, nf=32),
+        "garbage": garbage,
+        "no_poles": write_json(tmp_path / "no_poles.json", {"bank": {}}),
+        "identity": write_json(tmp_path / "identity.json", IDENTITY_SYSTEM),
+        "unstable": write_json(tmp_path / "unstable.json", {
+            "g": {"b": [1.0], "a": [1.0, -1.5]},
+            "nonlinearity": {"kind": "polynomial", "coefficients": [0.0, 1.0]}}),
+        "study_typo": write_json(tmp_path / "study.json", {
+            "kind": "pole_rate", "system": {"preset": "example1"},
+            "n_trials": 1, "n_trails": 5, "n_freqs_grid": [32]}),
+        "identify_typo": write_json(tmp_path / "id.json", {
+            "n_a": 1, "n_b": 1, "n_rep": 1, "degree": 1, "degre": 3}),
+    }
+    argv = [arg.format(**files) for arg in template] + ["--out-dir", str(out)]
+    src = os.path.dirname(os.path.dirname(wiener_gobf.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wiener_gobf.cli", *argv], capture_output=True,
+        text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr

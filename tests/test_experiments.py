@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -14,9 +17,7 @@ from wiener_gobf.experiments import (
     example2_system,
     fit_loglog_slope,
     min_max_pole_distance,
-    run_convergence_study,
-    run_noise_study,
-    run_pole_rate_study,
+    run_study,
 )
 from wiener_gobf.pipeline import StaticNonlinearity, WienerSystem
 
@@ -114,14 +115,14 @@ class TestSystems:
 
 class TestStudies:
     def test_zero_trials_give_empty_result(self):
-        result = run_convergence_study(tiny_convergence_config(n_trials=0))
+        result = run_study(tiny_convergence_config(n_trials=0))
         assert result.records == []
         assert result.aggregates()["n_records"] == 0
 
     def test_convergence_study_records_and_determinism(self):
         cfg = tiny_convergence_config()
-        r1 = run_convergence_study(cfg)
-        r2 = run_convergence_study(cfg)
+        r1 = run_study(cfg)
+        r2 = run_study(cfg)
         assert len(r1.records) == 2 * 2 * 1  # trials x grid x n_rep
         for a, b in zip(r1.records, r2.records):
             assert a == b
@@ -130,9 +131,9 @@ class TestStudies:
 
     def test_trial_order_independence_via_skip(self):
         cfg = tiny_convergence_config(n_trials=3)
-        full = run_convergence_study(cfg)
-        part1 = run_convergence_study(cfg, skip_trials={1, 2})
-        part2 = run_convergence_study(cfg, skip_trials={0})
+        full = run_study(cfg)
+        part1 = run_study(cfg, skip_trials={1, 2})
+        part2 = run_study(cfg, skip_trials={0})
         merged = sorted(part1.records + part2.records,
                         key=lambda r: (r.trial, r.n_freqs, r.n_rep))
         reference = sorted(full.records,
@@ -141,13 +142,13 @@ class TestStudies:
 
     def test_parallel_matches_serial(self):
         cfg = tiny_convergence_config(n_trials=2, n_freqs_grid=(170,))
-        serial = run_convergence_study(cfg, jobs=1)
-        parallel = run_convergence_study(cfg, jobs=2)
+        serial = run_study(cfg, jobs=1)
+        parallel = run_study(cfg, jobs=2)
         assert serial.records == parallel.records
 
     def test_aggregates_recomputable_and_consistent(self):
         cfg = tiny_convergence_config()
-        result = run_convergence_study(cfg)
+        result = run_study(cfg)
         agg = result.aggregates()
         cond = next(c for c in agg["conditions"]
                     if c["n_rep"] == 1 and c["n_freqs"] == 170)
@@ -160,7 +161,7 @@ class TestStudies:
 
     def test_records_csv_round_trip(self, tmp_path):
         cfg = tiny_convergence_config()
-        result = run_convergence_study(cfg)
+        result = run_study(cfg)
         path = tmp_path / "records.csv"
         result.write_records_csv(path)
         back = StudyResult.read_records_csv(path)
@@ -174,14 +175,14 @@ class TestStudies:
             f=StaticNonlinearity(kind="polynomial", coefficients=[0.0, 1.0]))
         cfg = StudyConfig(kind=POLE_RATE, system=system, n_trials=2,
                           base_seed=5, n_freqs_grid=(170, 341))
-        result = run_pole_rate_study(cfg)
+        result = run_study(cfg)
         assert all(r.pole_error < 1e-8 for r in result.records)
 
     def test_noise_study_records_selection_and_floor(self):
         cfg = StudyConfig(kind=NOISE, system=example2_polynomial_system(),
                           n_trials=3, base_seed=11, n_rep_set=(0, 1),
                           n_a=2, n_b=2, n_samples=1000)
-        result = run_noise_study(cfg)
+        result = run_study(cfg)
         assert len(result.records) == 6
         by_trial = {}
         for r in result.records:
@@ -189,18 +190,20 @@ class TestStudies:
             by_trial.setdefault(r.trial, []).append(r)
         for trial, recs in by_trial.items():
             assert sum(r.selected for r in recs) == 1
+            best = min(recs, key=lambda r: r.nrmse)
+            assert best.selected
 
     def test_noise_study_zero_variance_matches_model_error(self):
         """With the noise switched off, the recorded NRMSE is exactly the
         model error of the same fit reproduced outside the study."""
+        from wiener_gobf.gobf import transient_length
         from wiener_gobf.pipeline import identify, nrmse, predict, simulate
-        from wiener_gobf.pipeline import _bank_transient
         from wiener_gobf.signals import derive_seed, generate_gaussian
 
         system = example2_polynomial_system(noise_variance=0.0)
         cfg = StudyConfig(kind=NOISE, system=system, n_trials=1, base_seed=3,
                           n_rep_set=(1,), n_a=2, n_b=2)
-        result = run_noise_study(cfg)
+        result = run_study(cfg)
         rec = result.records[0]
         assert rec.noise_floor == 0.0
 
@@ -211,7 +214,7 @@ class TestStudies:
         _, y_est = simulate(system, u_est, mode="zero-initial")
         _, y_val = simulate(system, u_val, mode="zero-initial")
         model = identify(u_est, y_est, cfg.identify_config(1, periodic=False))
-        discard = _bank_transient(model.bank, cfg.n_samples)
+        discard = transient_length(model.bank, cfg.n_samples)
         expected = nrmse(y_val, predict(model, u_val), discard=discard)
         np.testing.assert_allclose(rec.nrmse, expected, rtol=1e-12)
 
@@ -221,7 +224,7 @@ class TestStudies:
         cfg = StudyConfig(kind=NOISE, system=example2_polynomial_system(),
                           n_trials=2, base_seed=9, n_rep_set=(1,),
                           n_a=2, n_b=2, n_samples=100, welch_segment=5000)
-        result = run_noise_study(cfg)
+        result = run_study(cfg)
         assert len(result.records) == 2
         assert all(r.failed for r in result.records)
         assert all("frf" in r.message for r in result.records)
@@ -231,7 +234,7 @@ class TestStudies:
 
     def test_plot_data_files(self, tmp_path):
         cfg = tiny_convergence_config()
-        result = run_convergence_study(cfg)
+        result = run_study(cfg)
         paths = result.write_plot_data(tmp_path)
         assert len(paths) == 2  # sup_error for n_rep=1 plus pole_error
         data = np.loadtxt(paths[0])
@@ -241,3 +244,30 @@ class TestStudies:
         with pytest.raises(InvalidSpecError):
             StudyConfig(kind="banana", system=example1_system(),
                         n_trials=1).validate()
+
+
+class TestStudyConfigJson:
+    def test_round_trip_keeps_every_field(self):
+        cfg = StudyConfig(
+            kind=POLE_RATE, system=example2_system(noise_variance=0.04,
+                                                   noise_seed=8),
+            n_trials=7, base_seed=5, n_freqs_grid=(100, 200), n_rep_set=(0, 2),
+            n_a=2, n_b=1, degree=2, basis="monomial", period_per_freq=4,
+            input_rms=0.5, validation_n_freqs=200, n_samples=500,
+            input_variance=2.0, welch_segment=None)
+        default = StudyConfig(kind=NOISE, system=example1_system(), n_trials=1)
+        for f in fields(StudyConfig):
+            if f.name != "system":
+                assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+
+        doc = json.loads(json.dumps(cfg.to_json_dict()))
+        back = StudyConfig.from_json_dict(doc)
+        assert back.to_json_dict() == cfg.to_json_dict()
+        # the system holds arrays, so it is compared through its JSON form
+        assert replace(back, system=cfg.system) == cfg
+
+    def test_unknown_key_rejected_by_name(self):
+        doc = tiny_convergence_config().to_json_dict()
+        doc["n_trails"] = 5
+        with pytest.raises(InvalidSpecError, match="n_trails"):
+            StudyConfig.from_json_dict(doc)

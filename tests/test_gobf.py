@@ -38,10 +38,6 @@ class TestBuildBank:
         # repetition pattern: xi_{j + k*n_base} == xi_j
         seq = bank.pole_sequence
         np.testing.assert_allclose(seq[3:], seq[:3])
-        descriptors = bank.realization
-        assert len(descriptors) == 6
-        assert len(descriptors[5]["allpass_poles"]) == 5
-        np.testing.assert_allclose(descriptors[0]["pole"], seq[0])
 
     def test_n_rep_zero_is_constant_only(self):
         bank = build_bank(EX1_POLES, n_rep=0)

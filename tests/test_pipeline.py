@@ -14,7 +14,6 @@ from wiener_gobf.pipeline import (
     identify,
     nrmse,
     predict,
-    select_n_rep,
     simulate,
 )
 from wiener_gobf.ratfun import RationalTF, poles
@@ -192,17 +191,3 @@ class TestIntermediate:
         y = SignalRecord(np.ones(128), periodic=True, period_samples=128)
         pairs = estimate_intermediate(bank, y, X).scatter_pairs(y)
         assert pairs.shape == (128, 2)
-
-
-class TestSelection:
-    def test_selects_matching_repetition_for_exact_model(self):
-        """With noise-free data and the truth inside the smaller model class,
-        the validation rule never prefers the larger one."""
-        u = generate_multisine(MultisineSpec(n_samples=2046, n_freqs=341, seed=17))
-        _, y = simulate(EX1, u)
-        uv = generate_multisine(MultisineSpec(n_samples=2046, n_freqs=341, seed=18))
-        _, yv = simulate(EX1, uv)
-        cfg = IdentifyConfig(n_a=3, n_b=3, n_rep=1, degree=3)
-        best, scores = select_n_rep(u, y, uv, yv, cfg, (1, 2))
-        assert set(scores) == {1, 2}
-        assert scores[best] == min(scores.values())
