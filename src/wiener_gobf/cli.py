@@ -13,17 +13,18 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import experiments, gobf, pipeline
+from . import __version__, experiments, gobf, pipeline
 from .errors import (
     EstimationError,
     InvalidSpecError,
     RankDeficiencyError,
     SingularityError,
     UnstableFilterError,
+    json_kwargs,
 )
 from .pipeline import IdentifyConfig, WienerModel, WienerSystem
 from .ratfun import ZERO_INITIAL
@@ -34,8 +35,6 @@ from .signals import (
     generate_multisine,
     load_signal,
 )
-
-VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,27 +62,17 @@ class RunManifest:
     config: dict
     seeds: dict
     outputs: list = field(default_factory=list)
-    version: str = VERSION
+    version: str = __version__
     duration_s: float = 0.0
 
     def write(self, path) -> None:
-        doc = {
-            "command": self.command,
-            "config": self.config,
-            "seeds": self.seeds,
-            "outputs": self.outputs,
-            "version": self.version,
-            "duration_s": self.duration_s,
-        }
         tmp = f"{path}.tmp"
         with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(asdict(self), fh, indent=2)
         os.replace(tmp, path)
 
 
 def _load_config(path) -> dict:
-    if path is None:
-        raise CliError("a --config file is required")
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -96,16 +85,12 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _check_keys(doc: dict, known, context: str) -> None:
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise CliError(f"{context}: unknown key(s) {', '.join(unknown)}")
-
-
-def _require(doc: dict, key: str, context: str):
-    if key not in doc:
-        raise CliError(f"{context}: missing required key {key!r}")
-    return doc[key]
+def _split_name(doc: dict):
+    """The optional run name, and the config document without it."""
+    name = doc.get("name")
+    if name is not None and not isinstance(name, str):
+        raise CliError("config key 'name' must be str")
+    return name, {k: v for k, v in doc.items() if k != "name"}
 
 
 def _out_dir(args) -> str:
@@ -114,17 +99,13 @@ def _out_dir(args) -> str:
     return out
 
 
-def _system_from_config(doc: dict) -> WienerSystem:
-    if "preset" in doc:
-        name = doc["preset"]
-        if name not in experiments.SYSTEM_PRESETS:
-            raise CliError(f"unknown system preset {name!r}; choose from "
-                           f"{sorted(experiments.SYSTEM_PRESETS)}")
-        return experiments.SYSTEM_PRESETS[name]()
-    try:
-        return WienerSystem.from_json_dict(doc)
-    except (KeyError, InvalidSpecError) as exc:
-        raise CliError(f"invalid system config: {exc}")
+@dataclass(frozen=True)
+class _GaussianConfig:
+    """Keys of a ``generate`` document of kind ``gaussian``."""
+
+    n_samples: int
+    variance: float = 1.0
+    seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -134,45 +115,31 @@ def _system_from_config(doc: dict) -> WienerSystem:
 def cmd_generate(args) -> int:
     start = time.time()
     doc = _load_config(args.config)
-    _check_keys(doc, ("kind", "name", "seed", "n_samples", "n_freqs",
-                      "sample_period", "target_rms", "variance"), "signal config")
-    kind = doc.get("kind", "multisine")
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    name, spec_doc = _split_name(doc)
+    kind = spec_doc.pop("kind", "multisine")
+    if args.seed is not None:
+        spec_doc["seed"] = args.seed
     out = _out_dir(args)
 
     if kind == "multisine":
-        try:
-            spec = MultisineSpec(
-                n_samples=int(_require(doc, "n_samples", "multisine config")),
-                n_freqs=int(_require(doc, "n_freqs", "multisine config")),
-                sample_period=float(doc.get("sample_period", 1.0)),
-                target_rms=float(doc.get("target_rms", 1.0)),
-                seed=seed,
-            )
-            record = generate_multisine(spec)
-        except InvalidSpecError as exc:
-            raise CliError(f"invalid multisine config: {exc}")
+        spec = MultisineSpec.from_json_dict(spec_doc)
+        record = generate_multisine(spec)
         generator = spec.to_json_dict()
     elif kind == "gaussian":
-        try:
-            record = generate_gaussian(
-                int(_require(doc, "n_samples", "gaussian config")),
-                variance=float(doc.get("variance", 1.0)),
-                seed=seed)
-        except InvalidSpecError as exc:
-            raise CliError(f"invalid gaussian config: {exc}")
-        generator = {"kind": "gaussian", "n_samples": len(record.samples),
-                     "variance": float(doc.get("variance", 1.0)), "seed": seed}
+        spec = _GaussianConfig(**json_kwargs(_GaussianConfig, spec_doc))
+        record = generate_gaussian(spec.n_samples, variance=spec.variance,
+                                   seed=spec.seed)
+        generator = {"kind": kind, **asdict(spec)}
     else:
         raise CliError(f"unknown signal kind {kind!r}")
 
-    name = doc.get("name", kind)
+    name = name or kind
     csv_path = os.path.join(out, f"{name}.csv")
     json_path = os.path.join(out, f"{name}.json")
     record.to_csv(csv_path)
     record.to_json(json_path, generator=generator)
 
-    RunManifest(command="generate", config=doc, seeds={"seed": seed},
+    RunManifest(command="generate", config=doc, seeds={"seed": spec.seed},
                 outputs=[csv_path, json_path],
                 duration_s=time.time() - start).write(
         os.path.join(out, f"{name}.manifest.json"))
@@ -183,9 +150,8 @@ def cmd_generate(args) -> int:
 def cmd_simulate(args) -> int:
     start = time.time()
     doc = _load_config(args.config)
-    _check_keys(doc, ("name", "preset", "g", "nonlinearity", "noise"),
-                "system config")
-    system = _system_from_config(doc)
+    name, system_doc = _split_name(doc)
+    system = experiments.system_from_json(system_doc)
     if args.noise_off:
         system = WienerSystem(g=system.g, f=system.f, output_noise=None)
     if args.seed is not None and system.output_noise is not None:
@@ -193,7 +159,7 @@ def cmd_simulate(args) -> int:
     u = _read_signal(args.input, args)
     mode = ZERO_INITIAL if not u.periodic else args.mode
     out = _out_dir(args)
-    name = doc.get("name", "simulated")
+    name = name or "simulated"
 
     x, y = pipeline.simulate(system, u, mode=mode)
 
@@ -228,38 +194,17 @@ def _read_signal(path, args) -> SignalRecord:
     return record
 
 
-def _identify_config_from(doc: dict) -> IdentifyConfig:
-    _check_keys(doc, ("name", "n_a", "n_b", "n_rep", "degree", "basis",
-                      "filtering", "frf", "n_periods", "welch_segment"),
-                "identify config")
-    try:
-        cfg = IdentifyConfig(
-            n_a=int(_require(doc, "n_a", "identify config")),
-            n_b=int(_require(doc, "n_b", "identify config")),
-            n_rep=int(_require(doc, "n_rep", "identify config")),
-            degree=int(_require(doc, "degree", "identify config")),
-            basis=doc.get("basis", "hermite"),
-            filtering=doc.get("filtering", "periodic-steady-state"),
-            frf_method=doc.get("frf", "periodic"),
-            n_periods=doc.get("n_periods"),
-            welch_segment=doc.get("welch_segment"),
-        )
-        cfg.validate()
-        return cfg
-    except (InvalidSpecError, ValueError, TypeError) as exc:
-        raise CliError(f"invalid identify config: {exc}")
-
-
 def cmd_identify(args) -> int:
     start = time.time()
     doc = _load_config(args.config)
-    cfg = _identify_config_from(doc)
+    name, cfg_doc = _split_name(doc)
+    cfg = IdentifyConfig.from_json_dict(cfg_doc)
     u = _read_signal(args.u, args)
     y = _read_signal(args.y, args)
     if len(u.samples) != len(y.samples):
         raise CliError("input and output files have mismatched lengths")
     out = _out_dir(args)
-    name = doc.get("name", "model")
+    name = name or "model"
 
     model = pipeline.identify(u, y, cfg)
 
@@ -345,27 +290,22 @@ def cmd_scatter(args) -> int:
 def cmd_study(args) -> int:
     start = time.time()
     doc = _load_config(args.config)
-    try:
-        cfg = experiments.StudyConfig.from_json_dict(
-            {k: v for k, v in doc.items() if k != "name"})
-    except (KeyError, TypeError, InvalidSpecError) as exc:
-        raise CliError(f"invalid study config: {exc}")
+    name, cfg_doc = _split_name(doc)
     if args.trials is not None:
-        cfg = replace(cfg, n_trials=args.trials)
+        cfg_doc["n_trials"] = args.trials
     if args.seed is not None:
-        cfg = replace(cfg, base_seed=args.seed)
-    try:
-        cfg.validate()
-    except InvalidSpecError as exc:
-        raise CliError(f"invalid study config: {exc}")
+        cfg_doc["base_seed"] = args.seed
+    cfg = experiments.StudyConfig.from_json_dict(cfg_doc)
 
     out = _out_dir(args)
-    name = doc.get("name", cfg.kind)
+    name = name or cfg.kind
     records_path = os.path.join(out, f"{name}_records.csv")
+    manifest_path = os.path.join(out, f"{name}_study.manifest.json")
 
     skip = None
     prior_records = []
     if args.resume and os.path.exists(records_path):
+        _check_resumable(manifest_path, cfg)
         prior_records = experiments.StudyResult.read_records_csv(records_path)
         skip = {r.trial for r in prior_records}
 
@@ -389,10 +329,22 @@ def cmd_study(args) -> int:
     RunManifest(command="study", config=cfg.to_json_dict(),
                 seeds={"base_seed": cfg.base_seed},
                 outputs=[records_path, aggregates_path] + plot_paths,
-                duration_s=time.time() - start).write(
-        os.path.join(out, f"{name}_study.manifest.json"))
+                duration_s=time.time() - start).write(manifest_path)
     print(records_path)
     return EXIT_OK
+
+
+def _check_resumable(manifest_path, cfg) -> None:
+    """Refuse to add trials to records written under another config."""
+    old = _load_config(manifest_path).get("config")
+    if not isinstance(old, dict):
+        raise CliError(f"cannot resume: {manifest_path} holds no study config")
+    new = json.loads(json.dumps(cfg.to_json_dict()))
+    changed = sorted(k for k in old.keys() | new.keys()
+                     if k != "n_trials" and old.get(k) != new.get(k))
+    if changed:
+        raise CliError(f"cannot resume: the config differs from {manifest_path} "
+                       f"in {', '.join(changed)}")
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="wiener-gobf",
         description="Wiener-Schetzen identification with generalized "
                     "orthonormal basis functions")
-    parser.add_argument("--version", action="version", version=VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -414,12 +366,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="synthesize an excitation signal")
     common(p)
-    p.add_argument("--config", required=False)
+    p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("simulate", help="run a Wiener system on an input file")
     common(p)
-    p.add_argument("--config", required=False, help="system config JSON")
+    p.add_argument("--config", required=True, help="system config JSON")
     p.add_argument("--input", required=True, help="input signal (.csv or .json)")
     p.add_argument("--period", type=int, default=None,
                    help="mark a CSV input as periodic with this period")
@@ -432,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identify", help="estimate a model from u/y files")
     common(p)
-    p.add_argument("--config", required=False, help="identify config JSON")
+    p.add_argument("--config", required=True, help="identify config JSON")
     p.add_argument("--u", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--period", type=int, default=None)
@@ -459,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study", help="run a Monte-Carlo study")
     common(p)
-    p.add_argument("--config", required=False)
+    p.add_argument("--config", required=True)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--resume", action="store_true",

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import polymodel
-from .errors import EstimationError, InvalidSpecError
+from .errors import EstimationError, InvalidSpecError, json_kwargs
 from .pipeline import (
     FRF_PERIODIC,
     FRF_WELCH,
@@ -123,6 +123,18 @@ SYSTEM_PRESETS = {
 }
 
 
+def system_from_json(doc) -> WienerSystem:
+    """A system document: the JSON form of a ``WienerSystem``, or a preset
+    named as a string or as ``{"preset": name}``."""
+    if isinstance(doc, dict) and set(doc) != {"preset"}:
+        return WienerSystem.from_json_dict(doc)
+    name = doc["preset"] if isinstance(doc, dict) else doc
+    if not isinstance(name, str) or name not in SYSTEM_PRESETS:
+        raise InvalidSpecError(f"unknown system preset {name!r}; choose from "
+                               f"{', '.join(sorted(SYSTEM_PRESETS))}")
+    return SYSTEM_PRESETS[name]()
+
+
 # ---------------------------------------------------------------------------
 # Study configuration and records
 # ---------------------------------------------------------------------------
@@ -130,9 +142,8 @@ SYSTEM_PRESETS = {
 CONVERGENCE = "convergence"
 NOISE = "noise"
 POLE_RATE = "pole_rate"
-MODEL_SELECT = "model_select"
 
-_STUDY_KINDS = (CONVERGENCE, NOISE, POLE_RATE, MODEL_SELECT)
+_STUDY_KINDS = (CONVERGENCE, NOISE, POLE_RATE)
 
 
 @dataclass(frozen=True)
@@ -176,38 +187,24 @@ class StudyConfig:
             n_a=self.n_a, n_b=self.n_b, n_rep=n_rep, degree=self.degree,
             basis=self.basis,
             filtering=PERIODIC if periodic else ZERO_INITIAL,
-            frf_method=FRF_PERIODIC if periodic else FRF_WELCH,
+            frf=FRF_PERIODIC if periodic else FRF_WELCH,
             welch_segment=self.welch_segment,
         )
 
     def to_json_dict(self) -> dict:
-        doc = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "system":
-                value = value.to_json_dict()
-            elif isinstance(value, (tuple, list)):
-                value = list(value)
-            doc[f.name] = value
-        return doc
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["system"] = self.system.to_json_dict()
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StudyConfig":
-        """Inverse of ``to_json_dict``; ``system`` may also name a preset,
-        as a string or as ``{"preset": name}``.  Unknown keys are rejected."""
-        doc = dict(doc)
-        system = doc.pop("system")
-        if isinstance(system, dict) and "preset" in system:
-            system = SYSTEM_PRESETS[system["preset"]]()
-        elif isinstance(system, str):
-            system = SYSTEM_PRESETS[system]()
-        else:
-            system = WienerSystem.from_json_dict(system)
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise InvalidSpecError(f"unknown study config key(s): {', '.join(unknown)}")
-        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
-        return cls(system=system, **kwargs)
+        """Inverse of ``to_json_dict``; ``system`` is read by
+        ``system_from_json``, so it may also name a preset."""
+        if "system" not in doc:
+            raise InvalidSpecError("missing required config key 'system'")
+        rest = {k: v for k, v in doc.items() if k != "system"}
+        return cls(system=system_from_json(doc["system"]),
+                   **json_kwargs(cls, rest, skip=("system",)))
 
 
 @dataclass
@@ -586,7 +583,6 @@ _TRIAL_RUNNERS = {
     CONVERGENCE: _convergence_trial,
     POLE_RATE: _pole_rate_trial,
     NOISE: _noise_trial,
-    MODEL_SELECT: _noise_trial,
 }
 
 

@@ -13,7 +13,6 @@ are orthonormal as well.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -75,7 +74,6 @@ class GobfBank:
 
     base_poles: np.ndarray
     n_rep: int
-    include_constant: bool = True
 
     def __post_init__(self):
         base = np.atleast_1d(np.asarray(self.base_poles, dtype=complex))
@@ -100,7 +98,7 @@ class GobfBank:
 
     @property
     def n_outputs(self) -> int:
-        return self.n_dynamic + (1 if self.include_constant else 0)
+        return self.n_dynamic + 1
 
     @property
     def pole_sequence(self) -> np.ndarray:
@@ -112,31 +110,27 @@ class GobfBank:
     def sub_bank(self, n_rep: int) -> "GobfBank":
         if n_rep > self.n_rep:
             raise InvalidSpecError("sub_bank cannot extend the repetition count")
-        return GobfBank(base_poles=self.base_poles, n_rep=n_rep,
-                        include_constant=self.include_constant)
+        return GobfBank(base_poles=self.base_poles, n_rep=n_rep)
 
     def to_json_dict(self) -> dict:
         return {
             "base_poles": [[float(p.real), float(p.imag)] for p in self.base_poles],
             "n_rep": self.n_rep,
-            "include_constant": self.include_constant,
+            "include_constant": True,  # kept so the file format is unchanged
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GobfBank":
         base = np.array([complex(re, im) for re, im in doc["base_poles"]])
-        return cls(base_poles=base, n_rep=int(doc["n_rep"]),
-                   include_constant=bool(doc.get("include_constant", True)))
+        if doc.get("include_constant", True) is not True:
+            raise InvalidSpecError("banks without the constant F_0 = 1 are not supported")
+        return cls(base_poles=base, n_rep=int(doc["n_rep"]))
 
 
-def build_bank(poles: Union[PoleSet, np.ndarray], n_rep: int,
-               include_constant: bool = True) -> GobfBank:
+def build_bank(poles: Union[PoleSet, np.ndarray], n_rep: int) -> GobfBank:
     """Construct the bank from a stable, conjugate-closed pole set."""
     p = poles.poles if isinstance(poles, PoleSet) else np.asarray(poles, dtype=complex)
-    return GobfBank(base_poles=p, n_rep=n_rep, include_constant=include_constant)
+    return GobfBank(base_poles=p, n_rep=n_rep)
 
 
 def transient_length(bank: GobfBank, n: int) -> int:
@@ -196,7 +190,7 @@ def _recombine_real(bank: GobfBank, raw: np.ndarray, raw_conj: np.ndarray) -> np
 
 def bank_frequency_matrix(bank: GobfBank, omegas,
                           real_outputs: bool = False) -> np.ndarray:
-    """Entry (k, l) = F_l(e^{j omega_k}); column 0 is F_0 when present.
+    """Entry (k, l) = F_l(e^{j omega_k}); column 0 is F_0.
 
     With ``real_outputs`` the dynamic columns are the real-coefficient
     recombination actually used for model channels (still complex-valued on
@@ -208,9 +202,7 @@ def bank_frequency_matrix(bank: GobfBank, omegas,
     if real_outputs and bank.n_dynamic > 0:
         raw_conj = np.conj(_complex_columns(bank, np.conj(z)))
         raw = _recombine_real(bank, raw, raw_conj)
-    if bank.include_constant:
-        return np.hstack([np.ones((len(z), 1), dtype=complex), raw])
-    return raw
+    return np.hstack([np.ones((len(z), 1), dtype=complex), raw])
 
 
 def bank_outputs(bank: GobfBank, u: Union[SignalRecord, np.ndarray],
@@ -229,9 +221,7 @@ def bank_outputs(bank: GobfBank, u: Union[SignalRecord, np.ndarray],
         periodic = True  # caller's responsibility when passing bare arrays
     n = len(samples)
 
-    cols: list[np.ndarray] = []
-    if bank.include_constant:
-        cols.append(samples.astype(float))
+    cols: list[np.ndarray] = [samples.astype(float)]
 
     if bank.n_dynamic > 0:
         if mode == PERIODIC:
@@ -262,7 +252,7 @@ def bank_outputs(bank: GobfBank, u: Union[SignalRecord, np.ndarray],
             )
         cols.extend(real_cols[:, l].real for l in range(real_cols.shape[1]))
 
-    return np.column_stack(cols) if cols else np.empty((n, 0))
+    return np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import bla, gobf, polymodel
-from .errors import EstimationError, InvalidSpecError, RankDeficiencyWarning
+from .errors import EstimationError, InvalidSpecError, RankDeficiencyWarning, json_kwargs
 from .ratfun import PERIODIC, ZERO_INITIAL, PoleSet, RationalTF, filter_time
 from .signals import NoiseSpec, SignalRecord, generate_noise
 
@@ -59,9 +59,7 @@ class StaticNonlinearity:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StaticNonlinearity":
-        if doc["kind"] == POLYNOMIAL:
-            return cls(kind=POLYNOMIAL, coefficients=np.array(doc["coefficients"]))
-        return cls(kind=SATURATION, lower=doc["lower"], upper=doc["upper"])
+        return cls(**json_kwargs(cls, doc))
 
 
 @dataclass(frozen=True)
@@ -89,18 +87,17 @@ class WienerSystem:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "WienerSystem":
-        noise = None
-        if "noise" in doc and doc["noise"] is not None:
-            nd = doc["noise"]
-            shaping = None
-            if nd.get("shaping_filter"):
-                shaping = RationalTF.from_json_dict(nd["shaping_filter"])
-            noise = NoiseSpec(variance=float(nd["variance"]),
-                              shaping_filter=shaping,
-                              seed=int(nd.get("seed", 0)))
-        return cls(g=RationalTF.from_json_dict(doc["g"]),
-                   f=StaticNonlinearity.from_json_dict(doc["nonlinearity"]),
-                   output_noise=noise)
+        kw = json_kwargs(_WienerSystemJson, doc)
+        return cls(g=kw["g"], f=kw["nonlinearity"], output_noise=kw.get("noise"))
+
+
+@dataclass(frozen=True)
+class _WienerSystemJson:
+    """Key names and types of the JSON form of a WienerSystem."""
+
+    g: RationalTF
+    nonlinearity: StaticNonlinearity
+    noise: Optional[NoiseSpec] = None
 
 
 def simulate(system: WienerSystem, u: SignalRecord,
@@ -139,11 +136,9 @@ class IdentifyConfig:
     degree: int
     basis: str = polymodel.HERMITE
     filtering: str = PERIODIC
-    frf_method: str = FRF_PERIODIC
+    frf: str = FRF_PERIODIC
     n_periods: Optional[int] = None
     welch_segment: Optional[int] = None
-    max_iters: int = 100
-    rel_tol: float = 1e-10
 
     def validate(self) -> None:
         if self.n_rep < 0:
@@ -152,17 +147,17 @@ class IdentifyConfig:
             raise InvalidSpecError("degree must be >= 0")
         if self.filtering not in (PERIODIC, ZERO_INITIAL):
             raise InvalidSpecError(f"unknown filtering mode {self.filtering!r}")
-        if self.frf_method not in (FRF_PERIODIC, FRF_WELCH):
-            raise InvalidSpecError(f"unknown frf method {self.frf_method!r}")
+        if self.frf not in (FRF_PERIODIC, FRF_WELCH):
+            raise InvalidSpecError(f"unknown frf method {self.frf!r}")
         if self.basis not in (polymodel.MONOMIAL, polymodel.HERMITE):
             raise InvalidSpecError(f"unknown basis {self.basis!r}")
 
     def to_json_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items()}
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "IdentifyConfig":
-        return cls(**{k: doc[k] for k in doc})
+        return cls(**json_kwargs(cls, doc))
 
 
 @dataclass
@@ -205,16 +200,14 @@ def estimate_bla_poles(u: SignalRecord, y: SignalRecord,
                        cfg: IdentifyConfig) -> tuple[PoleSet, bla.BlaFitResult]:
     """Steps 1a-1c: nonparametric FRF, rational fit, stabilized poles."""
     try:
-        if cfg.frf_method == FRF_PERIODIC:
+        if cfg.frf == FRF_PERIODIC:
             frf = bla.estimate_frf(u, y, n_periods=cfg.n_periods)
         else:
             frf = bla.estimate_frf_welch(u, y, segment_length=cfg.welch_segment)
     except Exception as exc:
         raise EstimationError("frf", str(exc)) from exc
     try:
-        fit = bla.fit_rational(frf, bla.BlaFitConfig(
-            n_a=cfg.n_a, n_b=cfg.n_b,
-            max_iters=cfg.max_iters, rel_tol=cfg.rel_tol))
+        fit = bla.fit_rational(frf, bla.BlaFitConfig(n_a=cfg.n_a, n_b=cfg.n_b))
     except Exception as exc:
         raise EstimationError("rational-fit", str(exc)) from exc
     return bla.stabilize_poles(fit.poles), fit

@@ -6,13 +6,12 @@ filtering, and root computation with exact conjugate closure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import InvalidSpecError, SingularityError, UnstableFilterError
+from .errors import InvalidSpecError, SingularityError, UnstableFilterError, json_kwargs
 from .signals import SignalRecord, dft, idft
 
 PERIODIC = "periodic-steady-state"
@@ -33,8 +32,8 @@ class RationalTF:
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(a))):
             raise InvalidSpecError("transfer-function coefficients must be finite")
-        if a[0] == 0.0:
-            raise InvalidSpecError("leading denominator coefficient must be nonzero")
+        if b.size == 0 or a.size == 0 or a[0] == 0.0:
+            raise InvalidSpecError("b and a must be nonempty with a[0] != 0")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a", a)
 
@@ -52,13 +51,9 @@ class RationalTF:
     def to_json_dict(self) -> dict:
         return {"b": [float(v) for v in self.b], "a": [float(v) for v in self.a]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RationalTF":
-        return cls(b=np.array(doc["b"], dtype=float),
-                   a=np.array(doc["a"], dtype=float))
+        return cls(**json_kwargs(cls, doc))
 
     @classmethod
     def identity(cls) -> "RationalTF":

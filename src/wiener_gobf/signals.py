@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidSpecError, UnstableFilterError
+from .errors import InvalidSpecError, UnstableFilterError, json_kwargs
 
 if TYPE_CHECKING:
     from .ratfun import RationalTF
@@ -225,6 +225,12 @@ class MultisineSpec:
             else "custom",
         }
 
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "MultisineSpec":
+        """A flat-spectrum spec from the keys of ``to_json_dict`` other than
+        ``kind`` and ``amplitude_profile``."""
+        return cls(**json_kwargs(cls, doc, skip=("amplitude_profile",)))
+
 
 def generate_multisine(spec: MultisineSpec) -> SignalRecord:
     """Synthesize one period of a random-phase multisine.
@@ -307,6 +313,12 @@ class NoiseSpec:
 
     def with_seed(self, seed: int) -> "NoiseSpec":
         return replace(self, seed=seed)
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "NoiseSpec":
+        from .ratfun import RationalTF  # ratfun imports this module
+
+        return cls(**json_kwargs(cls, doc, localns={"RationalTF": RationalTF}))
 
 
 def generate_noise(spec: NoiseSpec, n: int) -> SignalRecord:

@@ -339,7 +339,7 @@ def test_criterion_8_saturation_shape():
     _, y = simulate(system, u, mode="zero-initial")
     model = identify(u, y, IdentifyConfig(
         n_a=2, n_b=2, n_rep=1, degree=3, filtering="zero-initial",
-        frf_method="welch", welch_segment=1024))
+        frf="welch", welch_segment=1024))
     X = bank_outputs(model.bank, u, mode="zero-initial")
     est = estimate_intermediate(model.bank, y, X)
 

@@ -258,6 +258,25 @@ class TestStudy:
         assert resumed == fresh
         assert partial != fresh
 
+    def test_resume_refuses_a_changed_config(self, tmp_path, out, capsys):
+        cfg = write_json(tmp_path / "poles.json", {
+            "kind": "pole_rate", "system": {"preset": "example1"},
+            "n_trials": 2, "base_seed": 1, "n_freqs_grid": [32],
+            "name": "poles"})
+        assert main(["study", "--config", cfg, "--trials", "1", "--jobs", "1",
+                     "--out-dir", str(out)]) == 0
+        records = (out / "poles_records.csv").read_text()
+        capsys.readouterr()
+        assert main(["study", "--config", cfg, "--seed", "2", "--jobs", "1",
+                     "--resume", "--out-dir", str(out)]) == 2
+        assert "base_seed" in capsys.readouterr().err
+        assert (out / "poles_records.csv").read_text() == records
+
+        (out / "poles_study.manifest.json").unlink()
+        assert main(["study", "--config", cfg, "--jobs", "1", "--resume",
+                     "--out-dir", str(out)]) == 2
+        assert (out / "poles_records.csv").read_text() == records
+
     def test_env_var_out_dir(self, tmp_path, out, monkeypatch):
         monkeypatch.setenv("WIENER_GOBF_OUT_DIR", str(out))
         cfg = self.study_config(tmp_path)
@@ -288,6 +307,19 @@ MALFORMED_INPUT_CASES = {
     "identify-unknown-key": (
         ["identify", "--config", "{identify_typo}", "--u", "{u}", "--y", "{u}"],
         2, "degre"),
+    "generate-wrong-type-n_samples": (
+        ["generate", "--config", "{gen_n_samples}"], 2, "'n_samples'"),
+    "generate-wrong-type-seed": (["generate", "--config", "{gen_seed}"], 2,
+                                 "'seed'"),
+    "simulate-wrong-type-g": (
+        ["simulate", "--config", "{system_g}", "--input", "{u}"], 2, "'g'"),
+    "study-wrong-type-n_trials": (["study", "--config", "{study_n_trials}"], 2,
+                                  "'n_trials'"),
+    "identify-wrong-type-welch_segment": (
+        ["identify", "--config", "{identify_welch}", "--u", "{u}", "--y", "{u}"],
+        2, "'welch_segment'"),
+    "study-unknown-preset": (["study", "--config", "{study_preset}"], 2,
+                             "example2_saturation"),
 }
 
 
@@ -311,6 +343,20 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
             "n_trials": 1, "n_trails": 5, "n_freqs_grid": [32]}),
         "identify_typo": write_json(tmp_path / "id.json", {
             "n_a": 1, "n_b": 1, "n_rep": 1, "degree": 1, "degre": 3}),
+        "gen_n_samples": write_json(tmp_path / "gen_n.json", {
+            "kind": "multisine", "n_samples": "abc", "n_freqs": 8}),
+        "gen_seed": write_json(tmp_path / "gen_seed.json", {
+            "kind": "gaussian", "n_samples": 64, "seed": "x"}),
+        "system_g": write_json(tmp_path / "system_g.json",
+                               dict(IDENTITY_SYSTEM, g=5)),
+        "study_n_trials": write_json(tmp_path / "study_n.json", {
+            "kind": "pole_rate", "system": "example1", "n_trials": "x"}),
+        "identify_welch": write_json(tmp_path / "id_welch.json", {
+            "n_a": 1, "n_b": 1, "n_rep": 1, "degree": 1, "frf": "welch",
+            "filtering": "zero-initial", "welch_segment": "x"}),
+        "study_preset": write_json(tmp_path / "study_preset.json", {
+            "kind": "pole_rate", "system": {"preset": "example3"},
+            "n_trials": 1}),
     }
     argv = [arg.format(**files) for arg in template] + ["--out-dir", str(out)]
     src = os.path.dirname(os.path.dirname(wiener_gobf.__file__))

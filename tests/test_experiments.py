@@ -3,6 +3,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiener_gobf.errors import InvalidSpecError
 from wiener_gobf.experiments import (
@@ -18,8 +20,11 @@ from wiener_gobf.experiments import (
     fit_loglog_slope,
     min_max_pole_distance,
     run_study,
+    system_from_json,
 )
-from wiener_gobf.pipeline import StaticNonlinearity, WienerSystem
+from wiener_gobf.pipeline import IdentifyConfig, StaticNonlinearity, WienerSystem
+from wiener_gobf.ratfun import RationalTF
+from wiener_gobf.signals import MultisineSpec
 
 
 def tiny_convergence_config(**kw):
@@ -241,9 +246,10 @@ class TestStudies:
         assert data.shape == (2, 2)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            StudyConfig(kind="banana", system=example1_system(),
-                        n_trials=1).validate()
+        for kind in ("banana", "model_select"):
+            with pytest.raises(InvalidSpecError):
+                StudyConfig(kind=kind, system=example1_system(),
+                            n_trials=1).validate()
 
 
 class TestStudyConfigJson:
@@ -271,3 +277,43 @@ class TestStudyConfigJson:
         doc["n_trails"] = 5
         with pytest.raises(InvalidSpecError, match="n_trails"):
             StudyConfig.from_json_dict(doc)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+
+# Each config document type: its loader and one valid document.
+CONFIG_DOCUMENTS = {
+    "identify": (IdentifyConfig.from_json_dict, IdentifyConfig(
+        n_a=2, n_b=2, n_rep=1, degree=3, n_periods=2,
+        welch_segment=64).to_json_dict()),
+    "study": (StudyConfig.from_json_dict,
+              tiny_convergence_config(system=example2_system()).to_json_dict()),
+    "multisine": (MultisineSpec.from_json_dict,
+                  {"n_samples": 64, "n_freqs": 8, "sample_period": 0.5,
+                   "target_rms": 2.0, "seed": 3}),
+    "system": (system_from_json, example2_system(0.04, 8).to_json_dict()),
+    "transfer_function": (RationalTF.from_json_dict,
+                          example2_system().g.to_json_dict()),
+}
+
+
+@pytest.mark.parametrize("document", sorted(CONFIG_DOCUMENTS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_config_field_of_any_json_value_loads_or_raises_invalid_spec(document, data):
+    """One field of a valid document replaced by an arbitrary JSON value:
+    the loader (and the config's own validation) returns or raises
+    InvalidSpecError, never another exception."""
+    load, doc = CONFIG_DOCUMENTS[document]
+    key = data.draw(st.sampled_from(sorted(doc)))
+    doc = json.loads(json.dumps(dict(doc, **{key: data.draw(JSON_VALUES)})))
+    try:
+        cfg = load(doc)
+        if hasattr(cfg, "validate"):
+            cfg.validate()
+    except InvalidSpecError:
+        pass

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiener_gobf.errors import UnstableFilterError
+from wiener_gobf.errors import InvalidSpecError, UnstableFilterError
 from wiener_gobf.gobf import (
     GobfBank,
     bank_frequency_matrix,
@@ -59,9 +59,12 @@ class TestBuildBank:
 
     def test_json_round_trip(self):
         bank = build_bank(EX1_POLES, n_rep=3)
-        back = GobfBank.from_json_dict(bank.to_json_dict())
+        doc = bank.to_json_dict()
+        back = GobfBank.from_json_dict(doc)
         np.testing.assert_allclose(back.base_poles, bank.base_poles)
-        assert back.n_rep == 3 and back.include_constant
+        assert back.n_rep == 3 and back.n_outputs == 10
+        with pytest.raises(InvalidSpecError, match="F_0"):
+            GobfBank.from_json_dict(dict(doc, include_constant=False))
 
 
 class TestFrequencyMatrix:
