@@ -181,6 +181,8 @@ class StudyConfig:
             raise InvalidSpecError("n_freqs_grid must be nonempty")
         if len(self.n_rep_set) == 0:
             raise InvalidSpecError("n_rep_set must be nonempty")
+        for n_rep in self.n_rep_set:
+            self.identify_config(n_rep).validate()
 
     def identify_config(self, n_rep: int, periodic: bool = True) -> IdentifyConfig:
         return IdentifyConfig(

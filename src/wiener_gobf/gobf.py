@@ -30,6 +30,10 @@ _PROJECTION_GRID = 4096
 _CONDITION_WARN = 1e10
 
 
+def _is_real_pole(p: complex) -> bool:
+    return abs(p.imag) <= _REAL_POLE_TOL * (1.0 + abs(p))
+
+
 def _canonical_pole_order(poles: np.ndarray) -> np.ndarray:
     """Sort poles by (modulus, |angle|) with conjugate pairs adjacent.
 
@@ -40,7 +44,7 @@ def _canonical_pole_order(poles: np.ndarray) -> np.ndarray:
     remaining = list(np.asarray(poles, dtype=complex))
     while remaining:
         p = remaining.pop(0)
-        if abs(p.imag) <= _REAL_POLE_TOL * (1.0 + abs(p)):
+        if _is_real_pole(p):
             items.append((abs(p), 0.0, [complex(p.real)]))
             continue
         j = min(range(len(remaining)), key=lambda i: abs(remaining[i] - np.conj(p)))
@@ -161,21 +165,30 @@ def _complex_columns(bank: GobfBank, z: np.ndarray) -> np.ndarray:
     return cols
 
 
+def _read_columns(seq: np.ndarray) -> list[int]:
+    """Columns ``_recombine_real`` reads: each real pole and the first
+    member of each conjugate pair."""
+    read, l = [], 0
+    while l < len(seq):
+        read.append(l)
+        l += 1 if _is_real_pole(seq[l]) else 2
+    return read
+
+
 def _recombine_real(bank: GobfBank, raw: np.ndarray, raw_conj: np.ndarray) -> np.ndarray:
     """Map complex basis columns to real-coefficient columns.
 
     ``raw_conj`` must hold conj(F_l(conj(.))) on the same grid, which equals
     the conjugate-coefficient function evaluated at the grid.  Real poles pass
-    through; conjugate pairs are replaced by the whitened Re/Im combination.
+    through; conjugate pairs are replaced by the whitened Re/Im combination,
+    computed from the pair's first member alone.
     """
     seq = bank.pole_sequence
     out = np.empty_like(raw)
-    l = 0
-    while l < len(seq):
+    for l in _read_columns(seq):
         xi = seq[l]
-        if abs(xi.imag) <= _REAL_POLE_TOL * (1.0 + abs(xi)):
+        if _is_real_pole(xi):
             out[:, l] = raw[:, l]
-            l += 1
             continue
         f = raw[:, l]
         fbar = raw_conj[:, l]
@@ -184,7 +197,6 @@ def _recombine_real(bank: GobfBank, raw: np.ndarray, raw_conj: np.ndarray) -> np
         pair = np.column_stack([re, im]) @ pair_whitening(xi)
         out[:, l] = pair[:, 0]
         out[:, l + 1] = pair[:, 1]
-        l += 2
     return out
 
 
@@ -224,19 +236,23 @@ def bank_outputs(bank: GobfBank, u: Union[SignalRecord, np.ndarray],
     cols: list[np.ndarray] = [samples.astype(float)]
 
     if bank.n_dynamic > 0:
+        # Only the columns _recombine_real reads are filtered; the second
+        # member of each conjugate pair stays zero.
+        read = _read_columns(bank.pole_sequence)
+        raw = np.zeros((n, bank.n_dynamic), dtype=complex)
         if mode == PERIODIC:
             if isinstance(u, SignalRecord) and not periodic:
                 raise InvalidSpecError("periodic bank filtering needs a periodic input")
             z = np.exp(2j * np.pi * np.arange(n) / n)
             spectrum = dft(samples)
-            fcols = _complex_columns(bank, z)
-            raw = np.fft.ifft(fcols * spectrum[:, None], axis=0)
+            fcols = _complex_columns(bank, z)[:, read]
+            raw[:, read] = np.fft.ifft(fcols * spectrum[:, None], axis=0)
         elif mode == ZERO_INITIAL:
-            raw = np.empty((n, bank.n_dynamic), dtype=complex)
             chain = samples.astype(complex)
             for l, xi in enumerate(bank.pole_sequence):
-                gain = np.sqrt(1.0 - abs(xi) ** 2)
-                raw[:, l] = lfilter([0.0, gain], [1.0, -xi], chain)
+                if l in read:
+                    gain = np.sqrt(1.0 - abs(xi) ** 2)
+                    raw[:, l] = lfilter([0.0, gain], [1.0, -xi], chain)
                 chain = lfilter([-np.conj(xi), 1.0], [1.0, -xi], chain)
         else:
             raise InvalidSpecError(f"unknown filtering mode {mode!r}")

@@ -145,6 +145,12 @@ class IdentifyConfig:
             raise InvalidSpecError("n_rep must be >= 0")
         if self.degree < 0:
             raise InvalidSpecError("degree must be >= 0")
+        for key in ("n_a", "n_b"):
+            if getattr(self, key) < 0:
+                raise InvalidSpecError(f"{key!r} must be >= 0")
+        for key in ("n_periods", "welch_segment"):
+            if getattr(self, key) is not None and getattr(self, key) < 1:
+                raise InvalidSpecError(f"{key!r} must be >= 1 when set")
         if self.filtering not in (PERIODIC, ZERO_INITIAL):
             raise InvalidSpecError(f"unknown filtering mode {self.filtering!r}")
         if self.frf not in (FRF_PERIODIC, FRF_WELCH):

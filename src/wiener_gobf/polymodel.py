@@ -79,7 +79,7 @@ class ChannelStandardization:
 
 
 def _hermite_table(x: np.ndarray, degree: int) -> list[np.ndarray]:
-    """He_0..He_Q columnwise via the probabilists' recurrence."""
+    """He_0..He_Q elementwise via the probabilists' recurrence."""
     table = [np.ones_like(x), x.copy()]
     for k in range(2, degree + 1):
         table.append(x * table[-1] - (k - 1) * table[-2])
@@ -88,12 +88,16 @@ def _hermite_table(x: np.ndarray, degree: int) -> list[np.ndarray]:
 
 def _channel_power_table(X: np.ndarray, degree: int, basis: str,
                          std: Optional[ChannelStandardization]) -> list[np.ndarray]:
+    """Per-channel basis polynomials of degree 0..Q: entry e is an
+    (n_channels, N) array whose row ch, contiguous in time, holds the degree-e
+    polynomial of channel ch.  Standardizing before the transpose keeps every
+    value bit-identical to the (N, n_channels) layout."""
     if basis == HERMITE:
-        Xs = std.apply(X)
-        return _hermite_table(Xs, degree)
-    table = [np.ones_like(X), X.astype(float)]
+        return _hermite_table(np.ascontiguousarray(std.apply(X).T), degree)
+    Xt = np.ascontiguousarray(X.T, dtype=float)
+    table = [np.ones_like(Xt), Xt]
     for _ in range(2, degree + 1):
-        table.append(X * table[-1])
+        table.append(Xt * table[-1])
     return table[: degree + 1]
 
 
@@ -128,13 +132,18 @@ def build_regressors(X: np.ndarray, degree: int, basis: str = MONOMIAL,
         standardization = ChannelStandardization.from_data(X)
     table = _channel_power_table(X, degree, basis, standardization)
     indices = enumerate_multi_indices(n_ch, degree)
-    psi = np.empty((n, len(indices)))
-    for j, expo in enumerate(indices):
-        col = np.ones(n)
-        for ch, e in enumerate(expo):
-            if e:
-                col = col * table[e][:, ch]
-        psi[:, j] = col
+    position = {expo: j for j, expo in enumerate(indices)}
+    # Fortran order: each column is contiguous, and lstsq hands gelsd a
+    # plain copy instead of a transposed one.
+    # Column j is its parent column (the same index with the last nonzero
+    # channel set to 0, an earlier column in graded order) times one channel
+    # row, so every product keeps the channel order ((t_a * t_b) * t_c).
+    psi = np.empty((n, len(indices)), order="F")
+    psi[:, 0] = 1.0
+    for j, expo in enumerate(indices[1:], start=1):
+        ch = max(c for c, e in enumerate(expo) if e)
+        parent = position[expo[:ch] + (0,) * (n_ch - ch)]
+        np.multiply(psi[:, parent], table[expo[ch]][ch], out=psi[:, j])
     prob = RegressionProblem(psi=psi, indices=indices, basis=basis,
                              standardization=standardization)
     return prob.with_target(y) if y is not None else prob
@@ -150,8 +159,11 @@ def fit_ls(prob: RegressionProblem) -> np.ndarray:
         raise InvalidSpecError("regression problem has no target attached")
     if not np.all(np.isfinite(prob.psi)) or not np.all(np.isfinite(prob.y)):
         raise InvalidSpecError("regression data must be finite")
+    # The check above is the only finiteness check: lstsq's own would scan
+    # psi a second time.
     beta, _, rank, _ = scipy.linalg.lstsq(prob.psi, prob.y,
-                                          lapack_driver="gelsd")
+                                          lapack_driver="gelsd",
+                                          check_finite=False)
     if rank < prob.psi.shape[1]:
         warnings.warn(
             f"rank-deficient regression ({rank}/{prob.psi.shape[1]}); "
@@ -247,12 +259,13 @@ def evaluate(model: MultiPolyModel, X: np.ndarray) -> np.ndarray:
         std = ChannelStandardization.identity(model.n_channels)
     table = _channel_power_table(X, model.degree, model.basis, std)
     out = np.zeros(X.shape[0])
+    col = np.empty(X.shape[0])
     for expo, coef in zip(model.indices, model.coefficients):
         if coef == 0.0:
             continue
-        col = np.full(X.shape[0], coef)
+        col.fill(coef)
         for ch, e in enumerate(expo):
             if e:
-                col = col * table[e][:, ch]
+                np.multiply(col, table[e][ch], out=col)
         out += col
     return out

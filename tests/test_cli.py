@@ -320,6 +320,13 @@ MALFORMED_INPUT_CASES = {
         2, "'welch_segment'"),
     "study-unknown-preset": (["study", "--config", "{study_preset}"], 2,
                              "example2_saturation"),
+    "identify-negative-n_a": (
+        ["identify", "--config", "{identify_n_a}", "--u", "{u}", "--y", "{u}"],
+        2, "'n_a'"),
+    "identify-zero-welch_segment": (
+        ["identify", "--config", "{identify_welch_zero}", "--u", "{u}", "--y",
+         "{u}"], 2, "'welch_segment'"),
+    "study-negative-n_a": (["study", "--config", "{study_n_a}"], 2, "'n_a'"),
 }
 
 
@@ -357,6 +364,14 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
         "study_preset": write_json(tmp_path / "study_preset.json", {
             "kind": "pole_rate", "system": {"preset": "example3"},
             "n_trials": 1}),
+        "identify_n_a": write_json(tmp_path / "id_n_a.json", {
+            "n_a": -1, "n_b": 1, "n_rep": 1, "degree": 1}),
+        "identify_welch_zero": write_json(tmp_path / "id_welch_zero.json", {
+            "n_a": 1, "n_b": 1, "n_rep": 1, "degree": 1, "frf": "welch",
+            "filtering": "zero-initial", "welch_segment": 0}),
+        "study_n_a": write_json(tmp_path / "study_n_a.json", {
+            "kind": "pole_rate", "system": "example1", "n_trials": 1,
+            "n_freqs_grid": [32], "n_a": -1}),
     }
     argv = [arg.format(**files) for arg in template] + ["--out-dir", str(out)]
     src = os.path.dirname(os.path.dirname(wiener_gobf.__file__))

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiener_gobf.errors import InvalidSpecError, RankDeficiencyWarning
 from wiener_gobf.gobf import build_bank, bank_outputs
@@ -78,7 +80,83 @@ class TestRegressors:
         assert np.all(np.isfinite(prob.psi))
 
 
+def channel_poly(x, e, basis):
+    """Degree-e (e >= 1) basis polynomial of one (standardized) channel, by
+    the same recurrence as the library."""
+    lo, hi = np.ones_like(x), x.copy()
+    for k in range(2, e + 1):
+        lo, hi = hi, (x * hi - (k - 1) * lo if basis == HERMITE else x * hi)
+    return hi
+
+
+def reference_columns(X, indices, basis, std):
+    """One regressor column per multi-index: the product over channels, in
+    channel order, of per-channel polynomials."""
+    Xs = std.apply(X) if basis == HERMITE else X
+    psi = np.empty((X.shape[0], len(indices)))
+    for j, expo in enumerate(indices):
+        col = np.ones(X.shape[0])
+        for ch, e in enumerate(expo):
+            if e:
+                col = col * channel_poly(Xs[:, ch], e, basis)
+        psi[:, j] = col
+    return psi
+
+
+def reference_evaluate(model, X):
+    """The coefficient-first streaming sum evaluate has always computed."""
+    Xs = model.standardization.apply(X) if model.basis == HERMITE else X
+    out = np.zeros(X.shape[0])
+    for expo, coef in zip(model.indices, model.coefficients):
+        if coef == 0.0:
+            continue
+        col = np.full(X.shape[0], coef)
+        for ch, e in enumerate(expo):
+            if e:
+                col = col * channel_poly(Xs[:, ch], e, model.basis)
+        out += col
+    return out
+
+
+class TestExactLayout:
+    """Regressors built column from parent column, and evaluate's in-place
+    sum, are bit-identical to the plain per-column products."""
+
+    @given(st.integers(min_value=1, max_value=6),
+           st.integers(min_value=0, max_value=4),
+           st.sampled_from([MONOMIAL, HERMITE]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_column_products_exactly(self, n_ch, degree, basis, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((40, n_ch)) * rng.uniform(0.1, 5.0, n_ch) \
+            + rng.uniform(-2.0, 2.0, n_ch)
+        prob = build_regressors(X, degree, basis=basis)
+        assert prob.psi.flags.f_contiguous
+        assert np.array_equal(
+            prob.psi,
+            reference_columns(X, prob.indices, basis, prob.standardization))
+
+        beta = rng.standard_normal(len(prob.indices))
+        beta[rng.random(len(beta)) < 0.2] = 0.0
+        model = MultiPolyModel(n_channels=n_ch, degree=degree, basis=basis,
+                               coefficients=beta,
+                               standardization=prob.standardization,
+                               indices=prob.indices)
+        X2 = rng.standard_normal((30, n_ch))
+        assert np.array_equal(evaluate(model, X2), reference_evaluate(model, X2))
+
+
 class TestFitLs:
+    @pytest.mark.parametrize("where", ["psi", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, where, bad):
+        x = np.linspace(-1.0, 1.0, 20)[:, None]
+        prob = build_regressors(x, 2, basis=MONOMIAL, y=x[:, 0] ** 2)
+        getattr(prob, where)[3] = bad
+        with pytest.raises(InvalidSpecError, match="finite"):
+            fit_ls(prob)
+
     def test_exact_interpolation(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((400, 3))
