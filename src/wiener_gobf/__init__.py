@@ -8,7 +8,6 @@ convergence-rate and noise studies at desk scale.
 """
 
 from .bla import (
-    BlaFitConfig,
     BlaFitResult,
     NonparametricBla,
     estimate_frf,

@@ -1,13 +1,12 @@
 """Best-linear-approximation estimation.
 
 Nonparametric FRF from periodic (or random) input/output data, then a
-weighted least-squares rational fit under the unit-norm parameter
+least-squares rational fit under the unit-norm parameter
 constraint, yielding the pole estimates that seed the basis construction.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,6 +27,8 @@ from .signals import SignalRecord
 _EXCITED_DETECT_REL = 1e-9
 _EXCITED_MIN_REL = 1e-12
 _N_SK_ITERS = 20
+_MAX_ITERS = 100     # Gauss-Newton iteration cap
+_REL_TOL = 1e-10     # Gauss-Newton stops at a relative cost decrease below this
 
 
 @dataclass
@@ -35,45 +36,22 @@ class NonparametricBla:
     """FRF samples on the excited bins of one period.
 
     ``excited_bins`` indexes the DFT grid of length ``n_fft`` (one period);
-    ``frf`` and ``weight`` are aligned with it.
+    ``frf`` is aligned with it.
     """
 
     excited_bins: np.ndarray
     frf: np.ndarray
-    weight: np.ndarray
     n_fft: int
 
     def __post_init__(self):
         self.excited_bins = np.asarray(self.excited_bins, dtype=int)
         self.frf = np.asarray(self.frf, dtype=complex)
-        self.weight = np.asarray(self.weight, dtype=float)
-        if len(self.frf) != len(self.excited_bins) or len(self.weight) != len(self.frf):
-            raise InvalidSpecError("excited_bins, frf, and weight must align")
-        if np.any(self.weight <= 0):
-            raise InvalidSpecError("weights must be strictly positive")
+        if len(self.frf) != len(self.excited_bins):
+            raise InvalidSpecError("excited_bins and frf must align")
 
     @property
     def omegas(self) -> np.ndarray:
         return 2.0 * np.pi * self.excited_bins / self.n_fft
-
-
-@dataclass(frozen=True)
-class BlaFitConfig:
-    """Orders and stopping rules for the rational fit (n_a = n_p under the
-    known-order assumption)."""
-
-    n_a: int
-    n_b: int
-    max_iters: int = 100
-    rel_tol: float = 1e-10
-
-    def validate(self) -> None:
-        if self.n_a < 0 or self.n_b < 0:
-            raise InvalidSpecError("orders must be non-negative")
-        if self.rel_tol <= 0:
-            raise InvalidSpecError("rel_tol must be positive")
-        if self.max_iters < 1:
-            raise InvalidSpecError("max_iters must be >= 1")
 
 
 @dataclass
@@ -92,32 +70,18 @@ class BlaFitResult:
     def theta(self) -> np.ndarray:
         return np.concatenate([self.tf.a, self.tf.b])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tf": self.tf.to_json_dict(),
-            "poles": [[float(p.real), float(p.imag)] for p in self.poles.poles],
-            "final_cost": self.final_cost,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "cost_trace": [float(c) for c in self.cost_trace],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 # ---------------------------------------------------------------------------
 # Nonparametric estimates
 # ---------------------------------------------------------------------------
 
 def estimate_frf(u: SignalRecord, y: SignalRecord,
-                 n_periods: Optional[int] = None,
-                 excited_bins: Optional[np.ndarray] = None) -> NonparametricBla:
+                 n_periods: Optional[int] = None) -> NonparametricBla:
     """FRF as the ratio of period-averaged output and input DFTs.
 
     The input must be periodic with a known period.  Excited bins are
-    detected from the averaged input spectrum unless given explicitly; bins
-    with essentially zero input power raise ``DegenerateExcitationError``.
+    detected from the averaged input spectrum; an input with no detected
+    bin raises ``DegenerateExcitationError``.
     """
     if not u.periodic or u.period_samples is None:
         raise InvalidSpecError("estimate_frf requires a periodic input record")
@@ -139,33 +103,21 @@ def estimate_frf(u: SignalRecord, y: SignalRecord,
     if peak == 0.0:
         raise DegenerateExcitationError("input record has no power")
 
-    if excited_bins is None:
-        half = np.arange(1, p // 2 + 1)
-        mask = np.abs(u_spec[half]) > _EXCITED_DETECT_REL * peak
-        bins = half[mask]
-        if len(bins) == 0:
-            raise DegenerateExcitationError("no excited bins detected")
-    else:
-        bins = np.asarray(excited_bins, dtype=int)
-        low = np.abs(u_spec[bins]) < _EXCITED_MIN_REL * peak
-        if np.any(low):
-            raise DegenerateExcitationError(
-                f"excited bins {bins[low].tolist()} carry no input power"
-            )
+    half = np.arange(1, p // 2 + 1)
+    bins = half[np.abs(u_spec[half]) > _EXCITED_DETECT_REL * peak]
+    if len(bins) == 0:
+        raise DegenerateExcitationError("no excited bins detected")
 
     frf = y_spec[bins] / u_spec[bins]
-    return NonparametricBla(excited_bins=bins, frf=frf,
-                            weight=np.ones(len(bins)), n_fft=p)
+    return NonparametricBla(excited_bins=bins, frf=frf, n_fft=p)
 
 
 def estimate_frf_welch(u: SignalRecord, y: SignalRecord,
-                       segment_length: Optional[int] = None,
-                       overlap: float = 0.5,
-                       window: str = "hann") -> NonparametricBla:
+                       segment_length: Optional[int] = None) -> NonparametricBla:
     """Classical cross-power over auto-power FRF for random excitations.
 
-    Windowed, overlapped segment averaging; stands in for the more advanced
-    FRF estimators when the input is not periodic.
+    Hann-windowed segments overlapping by half are averaged; stands in for
+    the more advanced FRF estimators when the input is not periodic.
     """
     x = np.asarray(u.samples, dtype=float)
     z = np.asarray(y.samples, dtype=float)
@@ -177,8 +129,8 @@ def estimate_frf_welch(u: SignalRecord, y: SignalRecord,
     seg = int(segment_length)
     if seg > n:
         raise InvalidSpecError("segment_length exceeds record length")
-    step = max(1, int(seg * (1.0 - overlap)))
-    win = get_window(window, seg)
+    step = max(1, seg // 2)
+    win = get_window("hann", seg)
 
     suu = np.zeros(seg)
     syu = np.zeros(seg, dtype=complex)
@@ -197,8 +149,7 @@ def estimate_frf_welch(u: SignalRecord, y: SignalRecord,
     keep = suu[bins] > floor
     bins = bins[keep]
     frf = syu[bins] / suu[bins]
-    return NonparametricBla(excited_bins=bins, frf=frf,
-                            weight=np.ones(len(bins)), n_fft=seg)
+    return NonparametricBla(excited_bins=bins, frf=frf, n_fft=seg)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +164,9 @@ def _unit_norm(theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def fit_rational(frf: NonparametricBla, cfg: BlaFitConfig) -> BlaFitResult:
-    """Minimize mean W(k) |G_hat(k) - B/A(k)|^2 subject to ||theta||_2 = 1.
+def fit_rational(frf: NonparametricBla, n_a: int, n_b: int) -> BlaFitResult:
+    """Minimize mean |G_hat(k) - B/A(k)|^2 over the orders (n_a, n_b)
+    subject to ||theta||_2 = 1.
 
     Linearized total least squares seeds the iteration, Sanathanan-Koerner
     reweighting walks it toward the true cost, and a damped Gauss-Newton
@@ -222,39 +174,37 @@ def fit_rational(frf: NonparametricBla, cfg: BlaFitConfig) -> BlaFitResult:
     median magnitude internally (pole locations are scale free) and the scale
     is restored in the returned numerator.
     """
-    cfg.validate()
+    if n_a < 0 or n_b < 0:
+        raise InvalidSpecError("orders must be non-negative")
     n_bins = len(frf.frf)
-    if n_bins < (cfg.n_a + cfg.n_b + 2) / 2:
+    if n_bins < (n_a + n_b + 2) / 2:
         raise InvalidSpecError(
-            f"{n_bins} excited bins cannot determine {cfg.n_a + cfg.n_b + 2} parameters"
+            f"{n_bins} excited bins cannot determine {n_a + n_b + 2} parameters"
         )
 
-    w = frf.weight
     om = frf.omegas
     scale = float(np.median(np.abs(frf.frf)))
     if scale == 0.0:
         scale = 1.0
     g = frf.frf / scale
 
-    na, nb = cfg.n_a, cfg.n_b
-    ea = np.exp(-1j * np.outer(om, np.arange(na + 1)))
-    eb = np.exp(-1j * np.outer(om, np.arange(nb + 1)))
-    sqw = np.sqrt(w)
+    ea = np.exp(-1j * np.outer(om, np.arange(n_a + 1)))
+    eb = np.exp(-1j * np.outer(om, np.arange(n_b + 1)))
 
     def split(theta):
-        return theta[: na + 1], theta[na + 1:]
+        return theta[: n_a + 1], theta[n_a + 1:]
 
     def cost(theta):
         a, b = split(theta)
         den = ea @ a
         if np.any(np.abs(den) < 1e-300):
             return np.inf
-        return float(np.mean(w * np.abs(g - (eb @ b) / den) ** 2))
+        return float(np.mean(np.abs(g - (eb @ b) / den) ** 2))
 
     def linearized(den_weight):
         m = np.hstack([
-            (sqw * den_weight * g)[:, None] * ea,
-            -(sqw * den_weight)[:, None] * eb,
+            (den_weight * g)[:, None] * ea,
+            -den_weight[:, None] * eb,
         ])
         mr = np.vstack([m.real, m.imag])
         _, sv, vt = np.linalg.svd(mr, full_matrices=False)
@@ -281,14 +231,14 @@ def fit_rational(frf: NonparametricBla, cfg: BlaFitConfig) -> BlaFitResult:
     theta, current = best_theta, best_cost
     converged = False
     iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, _MAX_ITERS + 1):
         a, b = split(theta)
         den = ea @ a
         num = eb @ b
-        resid = sqw * (g - num / den)
+        resid = g - num / den
         jac = np.hstack([
-            (sqw * num / den**2)[:, None] * ea,
-            -(sqw / den)[:, None] * eb,
+            (num / den**2)[:, None] * ea,
+            -(1.0 / den)[:, None] * eb,
         ])
         jr = np.vstack([jac.real, jac.imag])
         rr = np.concatenate([resid.real, resid.imag])
@@ -309,13 +259,13 @@ def fit_rational(frf: NonparametricBla, cfg: BlaFitConfig) -> BlaFitResult:
             converged = True
             break
         trace.append(current)
-        if previous - current <= cfg.rel_tol * max(current, 1e-300):
+        if previous - current <= _REL_TOL * max(current, 1e-300):
             converged = True
             break
 
     a, b = split(theta)
     theta_out = _unit_norm(np.concatenate([a, b * scale]))
-    tf = RationalTF(b=theta_out[na + 1:], a=theta_out[: na + 1])
+    tf = RationalTF(b=theta_out[n_a + 1:], a=theta_out[: n_a + 1])
     pole_set = tf_poles(tf)
 
     ps = pole_set.poles

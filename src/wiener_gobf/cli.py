@@ -188,6 +188,8 @@ def _read_signal(path, args) -> SignalRecord:
         record = load_signal(path)
     except MALFORMED_FILE_ERRORS as exc:
         raise CliError(f"signal file {path} is malformed: {exc!r}")
+    if not np.all(np.isfinite(record.samples)):
+        raise CliError(f"signal file {path} has non-finite or unparsable samples")
     if getattr(args, "period", None):
         record = SignalRecord(samples=record.samples, periodic=True,
                               period_samples=args.period)
@@ -271,8 +273,7 @@ def cmd_scatter(args) -> int:
     y = _read_signal(args.y, args)
     out = _out_dir(args)
     name = args.name or "scatter"
-    mode = model.provenance.get("config", {}).get("filtering", ZERO_INITIAL)
-    X = gobf.bank_outputs(model.bank, u, mode=mode)
+    X = gobf.bank_outputs(model.bank, u, mode=model.filtering)
     est = pipeline.estimate_intermediate(model.bank, y, X)
     path = os.path.join(out, f"{name}.csv")
     pairs = est.scatter_pairs(y)

@@ -47,6 +47,7 @@ from .signals import (
 )
 
 EX1_NF_GRID = (170, 341, 682, 1365, 2730, 5461, 10922)
+EX1_PERIOD_PER_FREQ = 6   # N = 6 N_F samples per period: f_max = f_s / 6
 
 
 # ---------------------------------------------------------------------------
@@ -62,11 +63,10 @@ def example1_system() -> WienerSystem:
     return WienerSystem(g=g, f=f)
 
 
-def example1_multisine_spec(n_freqs: int, seed: int,
-                            period_per_freq: int = 6) -> MultisineSpec:
+def example1_multisine_spec(n_freqs: int, seed: int) -> MultisineSpec:
     """Flat random-phase multisine with f_max = f_s/6 and unit rms."""
-    return MultisineSpec(n_samples=period_per_freq * n_freqs, n_freqs=n_freqs,
-                         target_rms=1.0, seed=seed)
+    return MultisineSpec(n_samples=EX1_PERIOD_PER_FREQ * n_freqs,
+                         n_freqs=n_freqs, target_rms=1.0, seed=seed)
 
 
 def example2_g() -> RationalTF:
@@ -85,18 +85,17 @@ def example2_system(noise_variance: float = 0.01, noise_seed: int = 0) -> Wiener
 
 
 @lru_cache(maxsize=None)
-def example2_polynomial_truth_coefficients(n_reference: int = 200_000,
-                                           seed: int = 0x5E2) -> tuple:
+def example2_polynomial_truth_coefficients() -> tuple:
     """Cubic that best approximates the saturation on reference x data.
 
-    Fitted once on a long deterministic Gaussian record pushed through the
-    linear block; the estimation-set distribution is the same, so this is the
-    in-model-class variant of the saturation system.
+    Fitted once on a long (200000-sample) deterministic Gaussian record
+    pushed through the linear block; the estimation-set distribution is the
+    same, so this is the in-model-class variant of the saturation system.
     """
     from scipy.signal import lfilter
 
-    u = generate_gaussian(n_reference, variance=1.0,
-                          seed=derive_seed(seed, "poly-truth-input"))
+    u = generate_gaussian(200_000, variance=1.0,
+                          seed=derive_seed(0x5E2, "poly-truth-input"))
     g = example2_g()
     x = lfilter(g.b, g.a, u.samples)
     y = np.clip(x, -0.4, 0.2)
@@ -164,7 +163,7 @@ class StudyConfig:
     n_b: int = 3
     degree: int = 3
     basis: str = polymodel.HERMITE
-    period_per_freq: int = 6
+    period_per_freq: int = EX1_PERIOD_PER_FREQ
     input_rms: float = 1.0
     validation_n_freqs: int = 10922
     # noise-study data sizes (Example-2 protocol)

@@ -217,23 +217,18 @@ def bank_frequency_matrix(bank: GobfBank, omegas,
     return np.hstack([np.ones((len(z), 1), dtype=complex), raw])
 
 
-def bank_outputs(bank: GobfBank, u: Union[SignalRecord, np.ndarray],
+def bank_outputs(bank: GobfBank, u: SignalRecord,
                  mode: str = PERIODIC) -> np.ndarray:
     """Real N x n_outputs matrix of basis-filter outputs x_l = F_l u.
 
-    Periodic mode filters on the record's DFT grid (exact steady state);
-    zero-initial mode runs the cascaded one-pole recursions from rest,
-    sharing the all-pass chain across basis functions.
+    Periodic mode filters on the record's DFT grid (exact steady state) and
+    needs a periodic record; zero-initial mode runs the cascaded one-pole
+    recursions from rest, sharing the all-pass chain across basis functions.
     """
-    if isinstance(u, SignalRecord):
-        samples = u.samples
-        periodic = u.periodic
-    else:
-        samples = np.asarray(u, dtype=float)
-        periodic = True  # caller's responsibility when passing bare arrays
+    samples = u.samples
     n = len(samples)
 
-    cols: list[np.ndarray] = [samples.astype(float)]
+    cols: list[np.ndarray] = [samples]
 
     if bank.n_dynamic > 0:
         # Only the columns _recombine_real reads are filtered; the second
@@ -241,7 +236,7 @@ def bank_outputs(bank: GobfBank, u: Union[SignalRecord, np.ndarray],
         read = _read_columns(bank.pole_sequence)
         raw = np.zeros((n, bank.n_dynamic), dtype=complex)
         if mode == PERIODIC:
-            if isinstance(u, SignalRecord) and not periodic:
+            if not u.periodic:
                 raise InvalidSpecError("periodic bank filtering needs a periodic input")
             z = np.exp(2j * np.pi * np.arange(n) / n)
             spectrum = dft(samples)
@@ -314,16 +309,6 @@ class ExpansionResult:
     eta_bound: float
     c_gobf: float
     residual_by_rep: Optional[list] = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "coefficients": [float(c) for c in self.coefficients],
-            "residual_sup": self.residual_sup,
-            "rho": self.rho,
-            "eta_bound": self.eta_bound,
-            "c_gobf": self.c_gobf,
-            "residual_by_rep": self.residual_by_rep,
-        }
 
 
 def _project_once(bank: GobfBank, response: np.ndarray, om: np.ndarray):

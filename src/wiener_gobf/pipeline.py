@@ -178,6 +178,12 @@ class WienerModel:
         if self.poly.n_channels != self.bank.n_outputs:
             raise InvalidSpecError("polynomial channel count must match the bank")
 
+    @property
+    def filtering(self) -> str:
+        """The bank filtering mode the model was fitted in; a model file
+        without provenance is taken as periodic-steady-state."""
+        return self.provenance.get("config", {}).get("filtering", PERIODIC)
+
     def to_json_dict(self) -> dict:
         return {"bank": self.bank.to_json_dict(),
                 "poly": self.poly.to_json_dict(),
@@ -213,7 +219,7 @@ def estimate_bla_poles(u: SignalRecord, y: SignalRecord,
     except Exception as exc:
         raise EstimationError("frf", str(exc)) from exc
     try:
-        fit = bla.fit_rational(frf, bla.BlaFitConfig(n_a=cfg.n_a, n_b=cfg.n_b))
+        fit = bla.fit_rational(frf, cfg.n_a, cfg.n_b)
     except Exception as exc:
         raise EstimationError("rational-fit", str(exc)) from exc
     return bla.stabilize_poles(fit.poles), fit
@@ -266,12 +272,10 @@ def identify(u: SignalRecord, y: SignalRecord, cfg: IdentifyConfig) -> WienerMod
     return _assemble(u, y, bank, cfg, fit)
 
 
-def predict(model: WienerModel, u: SignalRecord,
-            mode: Optional[str] = None) -> SignalRecord:
-    """Simulate the identified model on a new input."""
-    if mode is None:
-        mode = model.provenance.get("config", {}).get("filtering", PERIODIC)
-    X = gobf.bank_outputs(model.bank, u, mode=mode)
+def predict(model: WienerModel, u: SignalRecord) -> SignalRecord:
+    """Simulate the identified model on a new input, filtering the bank in
+    the model's own mode."""
+    X = gobf.bank_outputs(model.bank, u, mode=model.filtering)
     yhat = polymodel.evaluate(model.poly, X)
     return SignalRecord(samples=yhat, periodic=u.periodic,
                         period_samples=u.period_samples)
@@ -320,7 +324,7 @@ def nrmse(y: Union[SignalRecord, np.ndarray],
     return float(np.linalg.norm(ya - yh) / denom)
 
 
-def sup_error(y, yhat, discard: int = 0) -> float:
+def sup_error(y, yhat) -> float:
     ya = y.samples if isinstance(y, SignalRecord) else np.asarray(y, dtype=float)
     yh = yhat.samples if isinstance(yhat, SignalRecord) else np.asarray(yhat, dtype=float)
-    return float(np.max(np.abs(ya[discard:] - yh[discard:])))
+    return float(np.max(np.abs(ya - yh)))

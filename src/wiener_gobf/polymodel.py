@@ -9,7 +9,6 @@ space with far better conditioning and is the default for estimation.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -207,9 +206,6 @@ class MultiPolyModel:
                 "scale": [float(v) for v in self.standardization.scale],
             }
         return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MultiPolyModel":

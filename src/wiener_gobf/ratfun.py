@@ -163,10 +163,8 @@ def filter_time(tf: RationalTF, u: SignalRecord, mode: str = PERIODIC) -> Signal
             raise UnstableFilterError("periodic-steady-state filtering needs a stable filter")
         n = len(u.samples)
         om = 2.0 * np.pi * np.arange(n) / n
-        spec = freq_response(tf, om) * dft(u.samples)
-        y = idft(spec).real
-        return SignalRecord(samples=y, periodic=True, period_samples=u.period_samples,
-                            spectrum=spec)
+        y = idft(freq_response(tf, om) * dft(u.samples)).real
+        return SignalRecord(samples=y, periodic=True, period_samples=u.period_samples)
     if mode == ZERO_INITIAL:
         y = lfilter(tf.b, tf.a, u.samples)
         return SignalRecord(samples=np.asarray(y, dtype=float))

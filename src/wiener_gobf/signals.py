@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -76,18 +76,15 @@ def idft(spectrum) -> np.ndarray:
 
 @dataclass
 class SignalRecord:
-    """A sampled signal with optional periodicity and spectral metadata.
+    """A sampled signal with optional periodicity.
 
     ``period_samples`` is the length of one period; aperiodic signals keep
-    ``periodic=False`` and ``period_samples=None``.  When present, ``spectrum``
-    holds the forward DFT of the samples.
+    ``periodic=False`` and ``period_samples=None``.
     """
 
     samples: np.ndarray
     periodic: bool = False
     period_samples: Optional[int] = None
-    spectrum: Optional[np.ndarray] = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -98,27 +95,9 @@ class SignalRecord:
                 raise InvalidSpecError(
                     "periodic record length must be a whole number of periods"
                 )
-        if self.spectrum is not None:
-            self.spectrum = np.asarray(self.spectrum, dtype=complex)
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @property
-    def n_periods(self) -> int:
-        if not self.periodic:
-            return 1
-        return len(self.samples) // int(self.period_samples)
-
-    def validate(self) -> None:
-        if self.spectrum is not None and self.periodic:
-            rebuilt = idft(self.spectrum).real
-            scale = max(float(np.max(np.abs(self.samples))), 1e-300)
-            err = np.max(np.abs(rebuilt - self.samples[: len(rebuilt)])) / scale
-            if err > 1e-12:
-                raise InvalidSpecError(
-                    f"spectrum does not reproduce samples (relative error {err:.3e})"
-                )
 
     # -- serialization ------------------------------------------------------
 
@@ -129,12 +108,10 @@ class SignalRecord:
                 fh.write(f"{i},{v:.17g}\n")
 
     @classmethod
-    def from_csv(cls, path, periodic: bool = False,
-                 period_samples: Optional[int] = None) -> "SignalRecord":
+    def from_csv(cls, path) -> "SignalRecord":
+        """An aperiodic record from the ``value`` column of ``to_csv``."""
         data = np.genfromtxt(path, delimiter=",", skip_header=1)
-        data = np.atleast_2d(data)
-        return cls(samples=data[:, 1], periodic=periodic,
-                   period_samples=period_samples)
+        return cls(samples=np.atleast_2d(data)[:, 1])
 
     def to_json_dict(self, generator: Optional[dict] = None) -> dict:
         doc = {
@@ -154,12 +131,9 @@ class SignalRecord:
     def from_json(cls, path) -> "SignalRecord":
         with open(path) as fh:
             doc = json.load(fh)
-        rec = cls(samples=np.array(doc["samples"], dtype=float),
-                  periodic=bool(doc.get("periodic", False)),
-                  period_samples=doc.get("period_samples"))
-        if "generator" in doc:
-            rec.meta["generator"] = doc["generator"]
-        return rec
+        return cls(samples=np.array(doc["samples"], dtype=float),
+                   periodic=bool(doc.get("periodic", False)),
+                   period_samples=doc.get("period_samples"))
 
 
 def load_signal(path) -> SignalRecord:
@@ -180,18 +154,13 @@ class MultisineSpec:
 
     The signal is u(t) = sum_{k=-N_F..N_F} U_k exp(j 2 pi k t / N) on the
     sample grid, with U_k = conj(U_{-k}), U_0 = 0, phases uniform on
-    [0, 2 pi), and per-bin amplitudes |U_k| proportional to
-    ``amplitude_profile(k / N) / sqrt(N_F)``.  After synthesis a single global
-    gain rescales the record to ``target_rms``.
-
-    ``amplitude_profile`` maps normalized frequency (cycles per sample,
-    in (0, 0.5]) to a non-negative shape value; ``None`` means flat.
+    [0, 2 pi), and the flat per-bin amplitude |U_k| = 1 / sqrt(N_F).  After
+    synthesis a single global gain rescales the record to ``target_rms``.
     """
 
     n_samples: int
     n_freqs: int
     sample_period: float = 1.0
-    amplitude_profile: Optional[Callable[[float], float]] = None
     target_rms: float = 1.0
     seed: int = 0
 
@@ -221,15 +190,14 @@ class MultisineSpec:
             "sample_period": self.sample_period,
             "target_rms": self.target_rms,
             "seed": self.seed,
-            "amplitude_profile": "flat" if self.amplitude_profile is None
-            else "custom",
+            "amplitude_profile": "flat",  # kept so generated files are unchanged
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MultisineSpec":
-        """A flat-spectrum spec from the keys of ``to_json_dict`` other than
-        ``kind`` and ``amplitude_profile``."""
-        return cls(**json_kwargs(cls, doc, skip=("amplitude_profile",)))
+        """A spec from the keys of ``to_json_dict`` other than ``kind`` and
+        ``amplitude_profile``."""
+        return cls(**json_kwargs(cls, doc))
 
 
 def generate_multisine(spec: MultisineSpec) -> SignalRecord:
@@ -242,21 +210,11 @@ def generate_multisine(spec: MultisineSpec) -> SignalRecord:
     spec.validate()
     n, nf = spec.n_samples, spec.n_freqs
 
-    if spec.amplitude_profile is None:
-        amp = np.ones(nf)
-    else:
-        amp = np.array([spec.amplitude_profile(k / n) for k in range(1, nf + 1)],
-                       dtype=float)
-        if np.any(amp < 0):
-            raise InvalidSpecError("amplitude_profile must be non-negative")
-    if not np.any(amp > 0):
-        raise InvalidSpecError("amplitude_profile is identically zero")
-
     rng = derive_rng(spec.seed, "multisine-phases")
     phases = rng.uniform(0.0, 2.0 * np.pi, nf)
 
     half = np.zeros(n // 2 + 1, dtype=complex)
-    half[1:nf + 1] = amp / np.sqrt(nf) * np.exp(1j * phases)
+    half[1:nf + 1] = 1.0 / np.sqrt(nf) * np.exp(1j * phases)
     samples = np.fft.irfft(half * n, n=n)
 
     r = rms(samples)
@@ -264,18 +222,7 @@ def generate_multisine(spec: MultisineSpec) -> SignalRecord:
         raise InvalidSpecError("synthesized multisine has zero power")
     samples = samples * (spec.target_rms / r)
 
-    return SignalRecord(
-        samples=samples,
-        periodic=True,
-        period_samples=n,
-        spectrum=dft(samples),
-        meta={"spec": spec.to_json_dict()},
-    )
-
-
-def excited_bins(spec: MultisineSpec) -> np.ndarray:
-    """Positive-frequency bins carrying power for this spec."""
-    return np.arange(1, spec.n_freqs + 1)
+    return SignalRecord(samples=samples, periodic=True, period_samples=n)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ models, where it does hold.
 import numpy as np
 import pytest
 
-from wiener_gobf.bla import BlaFitConfig, estimate_frf, fit_rational, stabilize_poles
+from wiener_gobf.bla import estimate_frf, fit_rational, stabilize_poles
 from wiener_gobf.experiments import (
     CONVERGENCE,
     NOISE,
@@ -95,7 +95,7 @@ def example1_estimated_poles():
     u = generate_multisine(MultisineSpec(n_samples=6 * 682, n_freqs=682,
                                          seed=BASE_SEED + 2))
     _, y = simulate(example1_system(), u)
-    fit = fit_rational(estimate_frf(u, y), BlaFitConfig(n_a=3, n_b=3))
+    fit = fit_rational(estimate_frf(u, y), n_a=3, n_b=3)
     return stabilize_poles(fit.poles)
 
 

@@ -199,8 +199,10 @@ class TestIdentify:
 
 
 class TestScatter:
-    def test_scatter_csv(self, tmp_path, out):
-        u_path = gen_multisine(tmp_path, out, name="u", n=2046, nf=341)
+    @staticmethod
+    def identify_model(tmp_path, out, n, nf):
+        """Write u.json/u.csv, ex1_y.csv and the model m.json fitted to them."""
+        u_path = gen_multisine(tmp_path, out, name="u", n=n, nf=nf)
         sys_cfg = write_json(tmp_path / "sys.json", dict(EX1_SYSTEM, name="ex1"))
         main(["simulate", "--config", sys_cfg, "--input", str(u_path),
               "--out-dir", str(out)])
@@ -209,12 +211,31 @@ class TestScatter:
                              "name": "m"})
         main(["identify", "--config", id_cfg, "--u", str(u_path),
               "--y", str(out / "ex1_y.csv"), "--out-dir", str(out)])
+        return u_path
+
+    def test_scatter_csv(self, tmp_path, out):
+        u_path = self.identify_model(tmp_path, out, n=2046, nf=341)
         assert main(["scatter", "--model", str(out / "m.json"),
                      "--u", str(u_path), "--y", str(out / "ex1_y.csv"),
                      "--out-dir", str(out), "--name", "sc"]) == 0
         rows = (out / "sc.csv").read_text().strip().splitlines()
         assert rows[0] == "x_hat,y"
         assert len(rows) == 2047
+
+    def test_predict_and_scatter_agree_on_a_model_without_provenance(
+            self, tmp_path, out):
+        """Both filter the bank in the model's own mode, periodic-steady-state
+        when the file has no provenance, so a CSV input needs --period."""
+        self.identify_model(tmp_path, out, n=256, nf=32)
+        doc = json.loads((out / "m.json").read_text())
+        del doc["provenance"]
+        model = write_json(tmp_path / "bare.json", doc)
+        u_csv, y_csv = str(out / "u.csv"), str(out / "ex1_y.csv")
+        for period, code in (([], 2), (["--period", "256"], 0)):
+            assert main(["predict", "--model", model, "--u", u_csv,
+                         "--out-dir", str(out), *period]) == code
+            assert main(["scatter", "--model", model, "--u", u_csv,
+                         "--y", y_csv, "--out-dir", str(out), *period]) == code
 
 
 class TestStudy:
@@ -327,6 +348,12 @@ MALFORMED_INPUT_CASES = {
         ["identify", "--config", "{identify_welch_zero}", "--u", "{u}", "--y",
          "{u}"], 2, "'welch_segment'"),
     "study-negative-n_a": (["study", "--config", "{study_n_a}"], 2, "'n_a'"),
+    "predict-non-finite-signal": (
+        ["predict", "--model", "{static_model}", "--u", "{non_finite}",
+         "--period", "1020"], 2, "non_finite.csv"),
+    "identify-non-finite-signal": (
+        ["identify", "--config", "{identify}", "--u", "{non_finite}", "--y",
+         "{non_finite}", "--period", "1020"], 2, "non_finite.csv"),
 }
 
 
@@ -337,10 +364,23 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
     template, code, message = MALFORMED_INPUT_CASES[case]
     garbage = tmp_path / "garbage.json"
     garbage.write_text("this is not JSON {")
+    non_finite = tmp_path / "non_finite.csv"
+    values = ["abc" if i == 3 else "nan" if i == 7 else "0.5"
+              for i in range(1020)]
+    non_finite.write_text("index,value\n" + "".join(
+        f"{i},{v}\n" for i, v in enumerate(values)))
     files = {
         "u": gen_multisine(tmp_path, out, n=256, nf=32),
         "garbage": garbage,
+        "non_finite": non_finite,
         "no_poles": write_json(tmp_path / "no_poles.json", {"bank": {}}),
+        "static_model": write_json(tmp_path / "static_model.json", {
+            "bank": {"base_poles": [], "n_rep": 0},
+            "poly": {"n_channels": 1, "degree": 1, "basis": "monomial",
+                     "terms": [{"exponents": [0], "coefficient": 0.0},
+                               {"exponents": [1], "coefficient": 1.0}]}}),
+        "identify": write_json(tmp_path / "id_ok.json", {
+            "n_a": 1, "n_b": 1, "n_rep": 1, "degree": 1}),
         "identity": write_json(tmp_path / "identity.json", IDENTITY_SYSTEM),
         "unstable": write_json(tmp_path / "unstable.json", {
             "g": {"b": [1.0], "a": [1.0, -1.5]},

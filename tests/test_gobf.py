@@ -233,8 +233,7 @@ class TestProjection:
     def test_residual_rate_with_estimated_poles(self):
         """Banks built from identification-grade pole estimates approximate
         the linear block with sup-residuals decaying like N_F^(-n_rep/2)."""
-        from wiener_gobf.bla import BlaFitConfig, estimate_frf, fit_rational, \
-            stabilize_poles
+        from wiener_gobf.bla import estimate_frf, fit_rational, stabilize_poles
         from wiener_gobf.experiments import example1_system, fit_loglog_slope
         from wiener_gobf.pipeline import simulate
 
@@ -246,7 +245,7 @@ class TestProjection:
                 u = generate_multisine(MultisineSpec(
                     n_samples=6 * nf, n_freqs=nf, seed=7000 + 31 * trial + nf))
                 _, y = simulate(system, u)
-                fit = fit_rational(estimate_frf(u, y), BlaFitConfig(n_a=3, n_b=3))
+                fit = fit_rational(estimate_frf(u, y), n_a=3, n_b=3)
                 bank = build_bank(stabilize_poles(fit.poles), 2)
                 by_rep = project_expansion(system.g, bank).residual_by_rep
                 residuals[1][nf].append(by_rep[1])

@@ -259,7 +259,7 @@ class TestModel:
         X = example1_channels()
         y = X[:, 1] + 0.2 * X[:, 2] ** 3
         model = fit_poly_model(X, y, degree=3, basis=HERMITE)
-        doc = json.loads(model.to_json())
+        doc = json.loads(json.dumps(model.to_json_dict()))
         back = MultiPolyModel.from_json_dict(doc)
         np.testing.assert_allclose(evaluate(back, X), evaluate(model, X),
                                    rtol=1e-14)

@@ -74,12 +74,6 @@ class TestMultisine:
         with pytest.raises(InvalidSpecError):
             generate_multisine(MultisineSpec(n_samples=10, n_freqs=6))
 
-    def test_zero_amplitude_profile_rejected(self):
-        spec = MultisineSpec(n_samples=64, n_freqs=8,
-                             amplitude_profile=lambda f: 0.0)
-        with pytest.raises(InvalidSpecError):
-            generate_multisine(spec)
-
     def test_f_max_on_integer_grid(self):
         spec = MultisineSpec(n_samples=1020, n_freqs=170, sample_period=0.5)
         np.testing.assert_allclose(
@@ -170,16 +164,6 @@ class TestNoise:
 
 
 class TestSignalRecord:
-    def test_spectrum_consistency_validates(self):
-        u = generate_multisine(MultisineSpec(n_samples=64, n_freqs=10, seed=4))
-        u.validate()
-
-    def test_inconsistent_spectrum_rejected(self):
-        u = generate_multisine(MultisineSpec(n_samples=64, n_freqs=10, seed=4))
-        u.spectrum = u.spectrum * 2.0
-        with pytest.raises(InvalidSpecError):
-            u.validate()
-
     def test_csv_round_trip_exact(self, tmp_path):
         u = generate_multisine(MultisineSpec(n_samples=32, n_freqs=5, seed=8))
         path = tmp_path / "sig.csv"
@@ -195,8 +179,7 @@ class TestSignalRecord:
         back = SignalRecord.from_json(path)
         assert np.array_equal(back.samples, u.samples)
         assert back.periodic and back.period_samples == 32
-        assert back.meta["generator"]["n_freqs"] == 5
-        json.loads(path.read_text())  # valid JSON document
+        assert json.loads(path.read_text())["generator"]["n_freqs"] == 5
 
     def test_partial_period_rejected(self):
         with pytest.raises(InvalidSpecError):
