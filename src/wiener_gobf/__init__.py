@@ -27,7 +27,6 @@ from .gobf import (
 )
 from .pipeline import (
     IdentifyConfig,
-    IntermediateEstimate,
     StaticNonlinearity,
     WienerModel,
     WienerSystem,
@@ -47,7 +46,7 @@ from .polymodel import (
     fit_ls,
     fit_poly_model,
 )
-from .ratfun import PoleSet, RationalTF, filter_time, freq_response, poles, zeros
+from .ratfun import RationalTF, filter_time, freq_response, poles
 from .signals import (
     MultisineSpec,
     NoiseSpec,

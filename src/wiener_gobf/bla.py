@@ -21,7 +21,7 @@ from .errors import (
     RankDeficiencyError,
     RepeatedPoleWarning,
 )
-from .ratfun import PoleSet, RationalTF, poles as tf_poles
+from .ratfun import RationalTF, poles as tf_poles
 from .signals import SignalRecord
 
 _EXCITED_DETECT_REL = 1e-9
@@ -60,7 +60,7 @@ class BlaFitResult:
     to unit 2-norm."""
 
     tf: RationalTF
-    poles: PoleSet
+    poles: np.ndarray
     final_cost: float
     iterations: int
     converged: bool
@@ -266,9 +266,7 @@ def fit_rational(frf: NonparametricBla, n_a: int, n_b: int) -> BlaFitResult:
     a, b = split(theta)
     theta_out = _unit_norm(np.concatenate([a, b * scale]))
     tf = RationalTF(b=theta_out[n_a + 1:], a=theta_out[: n_a + 1])
-    pole_set = tf_poles(tf)
-
-    ps = pole_set.poles
+    ps = tf_poles(tf)
     if len(ps) >= 2:
         dists = [abs(ps[i] - ps[j]) for i in range(len(ps)) for j in range(i + 1, len(ps))]
         if min(dists) < 1e-6:
@@ -278,7 +276,7 @@ def fit_rational(frf: NonparametricBla, n_a: int, n_b: int) -> BlaFitResult:
 
     return BlaFitResult(
         tf=tf,
-        poles=pole_set,
+        poles=ps,
         final_cost=cost(theta) * scale**2,
         iterations=iterations,
         converged=converged,
@@ -286,12 +284,12 @@ def fit_rational(frf: NonparametricBla, n_a: int, n_b: int) -> BlaFitResult:
     )
 
 
-def stabilize_poles(ps: PoleSet) -> PoleSet:
+def stabilize_poles(poles: np.ndarray) -> np.ndarray:
     """Reflect any pole with |p| >= 1 to 1/conj(p); warns when it acts."""
-    p = np.asarray(ps.poles, dtype=complex).copy()
+    p = np.array(poles, dtype=complex)
     bad = np.abs(p) >= 1.0
     if np.any(bad):
         p[bad] = 1.0 / np.conj(p[bad])
         warnings.warn(f"reflected {int(bad.sum())} unstable pole estimate(s) "
                       "into the unit circle", PoleStabilizationWarning)
-    return PoleSet(poles=p)
+    return p

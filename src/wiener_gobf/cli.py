@@ -190,7 +190,9 @@ def _read_signal(path, args) -> SignalRecord:
         raise CliError(f"signal file {path} is malformed: {exc!r}")
     if not np.all(np.isfinite(record.samples)):
         raise CliError(f"signal file {path} has non-finite or unparsable samples")
-    if getattr(args, "period", None):
+    if getattr(args, "period", None) is not None:
+        if args.period < 1:
+            raise CliError(f"--period must be >= 1, not {args.period}")
         record = SignalRecord(samples=record.samples, periodic=True,
                               period_samples=args.period)
     return record
@@ -274,12 +276,11 @@ def cmd_scatter(args) -> int:
     out = _out_dir(args)
     name = args.name or "scatter"
     X = gobf.bank_outputs(model.bank, u, mode=model.filtering)
-    est = pipeline.estimate_intermediate(model.bank, y, X)
+    x_hat = pipeline.estimate_intermediate(model.bank, y, X)
     path = os.path.join(out, f"{name}.csv")
-    pairs = est.scatter_pairs(y)
     with open(path, "w") as fh:
         fh.write("x_hat,y\n")
-        for xh, yv in pairs:
+        for xh, yv in zip(x_hat, y.samples):
             fh.write(f"{xh:.17g},{yv:.17g}\n")
     RunManifest(command="scatter", config={"model": args.model}, seeds={},
                 outputs=[path], duration_s=time.time() - start).write(

@@ -483,14 +483,14 @@ def _convergence_trial(cfg: StudyConfig, trial: int, validation) -> list:
     """Per N_F: identify at each n_rep and record the validation sup-norm
     error together with the BLA pole error."""
     u_val, y_val = validation
-    truth = tf_poles(cfg.system.g).poles
+    truth = tf_poles(cfg.system.g)
     records = []
     for nf in cfg.n_freqs_grid:
         u, y = _periodic_trial_data(cfg, trial, nf)
         icfg = cfg.identify_config(n_rep=max(cfg.n_rep_set), periodic=True)
         try:
             pole_set, fit = estimate_bla_poles(u, y, icfg)
-            pole_error = min_max_pole_distance(fit.poles.poles, truth)
+            pole_error = min_max_pole_distance(fit.poles, truth)
         except EstimationError as exc:
             records.extend(
                 TrialRecord(cfg.kind, trial, n_freqs=nf, n_rep=n_rep,
@@ -519,7 +519,7 @@ def _convergence_trial(cfg: StudyConfig, trial: int, validation) -> list:
 
 
 def _pole_rate_trial(cfg: StudyConfig, trial: int, validation) -> list:
-    truth = tf_poles(cfg.system.g).poles
+    truth = tf_poles(cfg.system.g)
     records = []
     for nf in cfg.n_freqs_grid:
         u, y = _periodic_trial_data(cfg, trial, nf)
@@ -527,7 +527,7 @@ def _pole_rate_trial(cfg: StudyConfig, trial: int, validation) -> list:
             _, fit = estimate_bla_poles(u, y, cfg.identify_config(1, periodic=True))
             records.append(TrialRecord(
                 cfg.kind, trial, n_freqs=nf,
-                pole_error=min_max_pole_distance(fit.poles.poles, truth)))
+                pole_error=min_max_pole_distance(fit.poles, truth)))
         except EstimationError as exc:
             records.append(TrialRecord(cfg.kind, trial, n_freqs=nf,
                                        failed=True, message=str(exc)))

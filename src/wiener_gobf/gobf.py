@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 from scipy.signal import lfilter
 
 from .errors import IllConditionedBasisWarning, InvalidSpecError, UnstableFilterError
-from .ratfun import PERIODIC, ZERO_INITIAL, PoleSet, RationalTF, freq_response
-from .ratfun import poles as tf_poles
+from .ratfun import PERIODIC, ZERO_INITIAL, RationalTF, freq_response
 from .signals import SignalRecord, dft
 
 _REAL_POLE_TOL = 1e-12
@@ -111,11 +109,6 @@ class GobfBank:
             return np.array([], dtype=complex)
         return np.tile(self.base_poles, self.n_rep)
 
-    def sub_bank(self, n_rep: int) -> "GobfBank":
-        if n_rep > self.n_rep:
-            raise InvalidSpecError("sub_bank cannot extend the repetition count")
-        return GobfBank(base_poles=self.base_poles, n_rep=n_rep)
-
     def to_json_dict(self) -> dict:
         return {
             "base_poles": [[float(p.real), float(p.imag)] for p in self.base_poles],
@@ -131,10 +124,9 @@ class GobfBank:
         return cls(base_poles=base, n_rep=int(doc["n_rep"]))
 
 
-def build_bank(poles: Union[PoleSet, np.ndarray], n_rep: int) -> GobfBank:
+def build_bank(poles: np.ndarray, n_rep: int) -> GobfBank:
     """Construct the bank from a stable, conjugate-closed pole set."""
-    p = poles.poles if isinstance(poles, PoleSet) else np.asarray(poles, dtype=complex)
-    return GobfBank(base_poles=p, n_rep=n_rep)
+    return GobfBank(base_poles=poles, n_rep=n_rep)
 
 
 def transient_length(bank: GobfBank, n: int) -> int:
@@ -278,22 +270,19 @@ def gram_matrix(bank: GobfBank, n_points: int = 100_000,
     return (f.conj().T @ f) / n_points
 
 
-def decay_rho(bank_poles: Union[PoleSet, np.ndarray],
-              target_poles: Union[PoleSet, np.ndarray]) -> float:
+def decay_rho(bank_poles: np.ndarray, target_poles: np.ndarray) -> float:
     """Worst-case Blaschke mismatch between target poles and one pole block.
 
     rho = max_j prod_k |(p_j - xi_k) / (1 - p_j xi_k)|; zero when the bank
     contains the target poles exactly, below one for conjugate-closed stable
     sets.
     """
-    xis = bank_poles.poles if isinstance(bank_poles, PoleSet) else np.asarray(bank_poles, complex)
-    ps = target_poles.poles if isinstance(target_poles, PoleSet) else np.asarray(target_poles, complex)
-    if len(xis) == 0 or len(ps) == 0:
+    if len(bank_poles) == 0 or len(target_poles) == 0:
         return 0.0
     best = 0.0
-    for p in ps:
+    for p in target_poles:
         prod = 1.0
-        for xi in xis:
+        for xi in bank_poles:
             prod *= abs((p - xi) / (1.0 - p * xi))
         best = max(best, float(prod))
     return best
@@ -305,10 +294,7 @@ class ExpansionResult:
 
     coefficients: np.ndarray
     residual_sup: float
-    rho: float
-    eta_bound: float
-    c_gobf: float
-    residual_by_rep: Optional[list] = None
+    residual_by_rep: list
 
 
 def _project_once(bank: GobfBank, response: np.ndarray, om: np.ndarray):
@@ -325,42 +311,22 @@ def _project_once(bank: GobfBank, response: np.ndarray, om: np.ndarray):
     return alpha, residual
 
 
-def project_expansion(target: RationalTF, bank: GobfBank,
-                      n_grid: int = _PROJECTION_GRID) -> ExpansionResult:
-    """Expand a stable target on the bank and report the sup-norm residual.
-
-    Also evaluates the residual for every lower repetition count, fits the
-    smallest constant making the geometric bound c * eta^r / (1 - eta) hold
-    on all of them (eta = rho), and reports the bound at the bank's own
-    repetition count.
-    """
-    target_ps = tf_poles(target)
-    if len(target_ps) > 0 and not target_ps.is_stable:
+def project_expansion(target: RationalTF, bank: GobfBank) -> ExpansionResult:
+    """Expand a stable target on the bank and report the sup-norm residual,
+    also for every lower repetition count (``residual_by_rep[r]``)."""
+    if not target.is_stable():
         raise UnstableFilterError("series expansion requires a stable target")
 
-    om = np.linspace(0.0, np.pi, n_grid)
+    om = np.linspace(0.0, np.pi, _PROJECTION_GRID)
     response = freq_response(target, om)
 
     residuals = []
     for r in range(0, bank.n_rep + 1):
-        alpha_r, res_r = _project_once(bank.sub_bank(r), response, om)
+        alpha, res_r = _project_once(GobfBank(bank.base_poles, r), response, om)
         residuals.append(res_r)
-    alpha, residual_sup = alpha_r, residuals[-1]
-
-    rho = decay_rho(bank.base_poles, target_ps)
-    if rho < 1e-14 or rho >= 1.0 or bank.n_rep == 0:
-        c_gobf = 0.0 if rho < 1e-14 else float("nan")
-        eta_bound = 0.0 if rho < 1e-14 else float("nan")
-    else:
-        c_gobf = max(res * (1.0 - rho) / rho**r
-                     for r, res in enumerate(residuals) if r >= 1)
-        eta_bound = c_gobf * rho**bank.n_rep / (1.0 - rho)
 
     return ExpansionResult(
         coefficients=np.asarray(alpha, dtype=float),
-        residual_sup=residual_sup,
-        rho=rho,
-        eta_bound=eta_bound,
-        c_gobf=c_gobf,
+        residual_sup=residuals[-1],
         residual_by_rep=residuals,
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bla, gobf, polymodel
 from .errors import EstimationError, InvalidSpecError, RankDeficiencyWarning, json_kwargs
-from .ratfun import PERIODIC, ZERO_INITIAL, PoleSet, RationalTF, filter_time
+from .ratfun import PERIODIC, ZERO_INITIAL, RationalTF, filter_time
 from .signals import NoiseSpec, SignalRecord, generate_noise
 
 POLYNOMIAL = "polynomial"
@@ -209,7 +209,7 @@ class WienerModel:
 
 
 def estimate_bla_poles(u: SignalRecord, y: SignalRecord,
-                       cfg: IdentifyConfig) -> tuple[PoleSet, bla.BlaFitResult]:
+                       cfg: IdentifyConfig) -> tuple[np.ndarray, bla.BlaFitResult]:
     """Steps 1a-1c: nonparametric FRF, rational fit, stabilized poles."""
     try:
         if cfg.frf == FRF_PERIODIC:
@@ -246,7 +246,7 @@ def _assemble(u: SignalRecord, y: SignalRecord, bank: gobf.GobfBank,
     }
     if fit is not None:
         provenance["bla"] = {
-            "poles": [[float(p.real), float(p.imag)] for p in fit.poles.poles],
+            "poles": [[float(p.real), float(p.imag)] for p in fit.poles],
             "final_cost": fit.final_cost,
             "iterations": fit.iterations,
             "converged": fit.converged,
@@ -285,21 +285,11 @@ def predict(model: WienerModel, u: SignalRecord) -> SignalRecord:
 # Intermediate-signal reconstruction and metrics
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IntermediateEstimate:
-    """Linear-combination reconstruction of the unmeasured x(t), known only
-    up to the BLA scale factor."""
-
-    alpha_hat: np.ndarray
-    x_hat: np.ndarray
-
-    def scatter_pairs(self, y: SignalRecord) -> np.ndarray:
-        return np.column_stack([self.x_hat, np.asarray(y.samples, dtype=float)])
-
-
 def estimate_intermediate(bank: gobf.GobfBank, y: SignalRecord,
-                          X: np.ndarray) -> IntermediateEstimate:
-    """alpha_hat = argmin sum_t |y(t) - sum_l alpha_l x_l(t)|^2; x_hat = X alpha."""
+                          X: np.ndarray) -> np.ndarray:
+    """Reconstruction x_hat = X alpha_hat of the unmeasured x(t), known only
+    up to the BLA scale factor, where
+    alpha_hat = argmin sum_t |y(t) - sum_l alpha_l x_l(t)|^2."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != bank.n_outputs:
         raise InvalidSpecError("X column count must match the bank outputs")
@@ -309,7 +299,7 @@ def estimate_intermediate(bank: gobf.GobfBank, y: SignalRecord,
     alpha, _, rank, _ = np.linalg.lstsq(X, target, rcond=None)
     if X.shape[1] > 0 and rank < X.shape[1]:
         warnings.warn("rank-deficient intermediate estimate", RankDeficiencyWarning)
-    return IntermediateEstimate(alpha_hat=alpha, x_hat=X @ alpha)
+    return X @ alpha
 
 
 def nrmse(y: Union[SignalRecord, np.ndarray],

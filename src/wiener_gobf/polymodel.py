@@ -209,18 +209,42 @@ class MultiPolyModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MultiPolyModel":
+        """Read the polynomial of a model file.  The file is outside input, so
+        every term is checked here; the constructor trusts fitted models."""
+        n_channels, degree, basis = doc["n_channels"], doc["degree"], doc["basis"]
+        if basis not in (MONOMIAL, HERMITE):
+            raise InvalidSpecError(f"unknown basis {basis!r}")
+        if type(n_channels) is not int or type(degree) is not int or degree < 0:
+            raise InvalidSpecError("n_channels and degree must be ints, degree >= 0")
+        coefficients = [t["coefficient"] for t in doc["terms"]]
+        if any(type(c) not in (int, float) for c in coefficients):
+            raise InvalidSpecError("term coefficients must be numbers")
+        indices = [tuple(t["exponents"]) for t in doc["terms"]]
+        for expo in indices:
+            if any(type(e) is not int or e < 0 for e in expo) \
+                    or len(expo) != n_channels or sum(expo) > degree:
+                raise InvalidSpecError(
+                    f"term exponents {list(expo)} must be {n_channels} "
+                    f"non-negative ints summing to at most degree {degree}")
         std = None
         if "standardization" in doc:
-            std = ChannelStandardization(
-                mean=np.array(doc["standardization"]["mean"]),
-                scale=np.array(doc["standardization"]["scale"]))
+            mean = np.array(doc["standardization"]["mean"], dtype=float)
+            scale = np.array(doc["standardization"]["scale"], dtype=float)
+            if mean.shape != (n_channels,) or scale.shape != (n_channels,):
+                raise InvalidSpecError(
+                    f"standardization needs {n_channels} means and scales")
+            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale))
+                    and np.all(scale > 0)):
+                raise InvalidSpecError(
+                    "standardization means must be finite and scales finite and > 0")
+            std = ChannelStandardization(mean=mean, scale=scale)
         return cls(
-            n_channels=int(doc["n_channels"]),
-            degree=int(doc["degree"]),
-            basis=doc["basis"],
-            coefficients=np.array([t["coefficient"] for t in doc["terms"]]),
+            n_channels=n_channels,
+            degree=degree,
+            basis=basis,
+            coefficients=np.array(coefficients),
             standardization=std,
-            indices=[tuple(t["exponents"]) for t in doc["terms"]],
+            indices=indices,
         )
 
 

@@ -46,7 +46,7 @@ class RationalTF:
         return len(self.a) - 1
 
     def is_stable(self) -> bool:
-        return bool(np.all(np.abs(poles(self).poles) < 1.0))
+        return bool(np.all(np.abs(poles(self)) < 1.0))
 
     def to_json_dict(self) -> dict:
         return {"b": [float(v) for v in self.b], "a": [float(v) for v in self.a]}
@@ -58,38 +58,6 @@ class RationalTF:
     @classmethod
     def identity(cls) -> "RationalTF":
         return cls(b=np.array([1.0]), a=np.array([1.0]))
-
-
-@dataclass(frozen=True)
-class PoleSet:
-    """Pole locations, closed under conjugation for real-coefficient sources."""
-
-    poles: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "poles",
-                           np.atleast_1d(np.asarray(self.poles, dtype=complex)))
-
-    def __len__(self) -> int:
-        return len(self.poles)
-
-    @property
-    def is_stable(self) -> bool:
-        return bool(np.all(np.abs(self.poles) < 1.0))
-
-    def is_conjugate_closed(self, tol: float = _CONJ_TOL) -> bool:
-        remaining = list(self.poles)
-        while remaining:
-            p = remaining.pop()
-            if abs(p.imag) <= tol * (1.0 + abs(p)):
-                continue
-            match = min(range(len(remaining)),
-                        key=lambda i: abs(remaining[i] - np.conj(p)),
-                        default=None)
-            if match is None or abs(remaining[match] - np.conj(p)) > tol * (1.0 + abs(p)):
-                return False
-            remaining.pop(match)
-        return True
 
 
 def freq_response(tf: RationalTF, omegas) -> np.ndarray:
@@ -134,19 +102,11 @@ def _symmetrize_conjugates(roots: np.ndarray, tol: float = _CONJ_TOL) -> np.ndar
     return np.array(out, dtype=complex)
 
 
-def poles(tf: RationalTF) -> PoleSet:
+def poles(tf: RationalTF) -> np.ndarray:
     """Denominator roots in z, conjugate pairs symmetrized exactly."""
     if len(tf.a) < 2:
-        return PoleSet(poles=np.array([], dtype=complex))
-    return PoleSet(poles=_symmetrize_conjugates(np.roots(tf.a)))
-
-
-def zeros(tf: RationalTF) -> PoleSet:
-    """Numerator roots in z (same conventions as poles)."""
-    b = np.trim_zeros(tf.b, "f")
-    if len(b) < 2:
-        return PoleSet(poles=np.array([], dtype=complex))
-    return PoleSet(poles=_symmetrize_conjugates(np.roots(b)))
+        return np.array([], dtype=complex)
+    return _symmetrize_conjugates(np.roots(tf.a))
 
 
 def filter_time(tf: RationalTF, u: SignalRecord, mode: str = PERIODIC) -> SignalRecord:

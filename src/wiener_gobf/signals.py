@@ -78,8 +78,8 @@ def idft(spectrum) -> np.ndarray:
 class SignalRecord:
     """A sampled signal with optional periodicity.
 
-    ``period_samples`` is the length of one period; aperiodic signals keep
-    ``periodic=False`` and ``period_samples=None``.
+    ``period_samples`` is the length of one period, a positive integer;
+    aperiodic signals keep ``periodic=False`` and ``period_samples=None``.
     """
 
     samples: np.ndarray
@@ -91,7 +91,12 @@ class SignalRecord:
         if self.periodic:
             if self.period_samples is None:
                 self.period_samples = len(self.samples)
-            if len(self.samples) % self.period_samples != 0:
+            p = self.period_samples
+            if not isinstance(p, (int, np.integer)) or p < 1:
+                raise InvalidSpecError(
+                    f"a periodic record needs a positive integer period_samples, "
+                    f"not {p!r}")
+            if len(self.samples) % p != 0:
                 raise InvalidSpecError(
                     "periodic record length must be a whole number of periods"
                 )

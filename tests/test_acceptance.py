@@ -204,7 +204,7 @@ def test_criterion_5_geometric_decay():
     """With bank poles perturbed radially by 0.01, successive-repetition
     residual ratios stay within a factor 3 of the mismatch factor rho."""
     true_ps = poles(EX1_G)
-    perturbed = true_ps.poles * (1.0 + 0.01 / np.abs(true_ps.poles))
+    perturbed = true_ps * (1.0 + 0.01 / np.abs(true_ps))
     rho = decay_rho(perturbed, true_ps)
     residuals = project_expansion(EX1_G, build_bank(perturbed, 4)).residual_by_rep
     ratios = {r: residuals[r] / residuals[r - 1] for r in (2, 3, 4)}
@@ -341,11 +341,11 @@ def test_criterion_8_saturation_shape():
         n_a=2, n_b=2, n_rep=1, degree=3, filtering="zero-initial",
         frf="welch", welch_segment=1024))
     X = bank_outputs(model.bank, u, mode="zero-initial")
-    est = estimate_intermediate(model.bank, y, X)
+    x_hat = estimate_intermediate(model.bank, y, X)
 
-    order = np.argsort(est.x_hat)
+    order = np.argsort(x_hat)
     bins = np.array_split(order, 50)
-    centers = np.array([est.x_hat[b].mean() for b in bins])
+    centers = np.array([x_hat[b].mean() for b in bins])
     means = np.array([y.samples[b].mean() for b in bins])
     ses = np.array([y.samples[b].std(ddof=1) / np.sqrt(len(b)) for b in bins])
 

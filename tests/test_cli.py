@@ -354,7 +354,64 @@ MALFORMED_INPUT_CASES = {
     "identify-non-finite-signal": (
         ["identify", "--config", "{identify}", "--u", "{non_finite}", "--y",
          "{non_finite}", "--period", "1020"], 2, "non_finite.csv"),
+    "identify-zero-period_samples": (
+        ["identify", "--config", "{identify}", "--u", "{period_zero}", "--y",
+         "{period_zero}"], 2, "period_samples"),
+    "identify-negative-period_samples": (
+        ["identify", "--config", "{identify}", "--u", "{period_negative}",
+         "--y", "{period_negative}"], 2, "period_samples"),
+    "identify-empty-periodic-signal": (
+        ["identify", "--config", "{identify}", "--u", "{periodic_empty}",
+         "--y", "{periodic_empty}"], 2, "period_samples"),
+    "identify-zero-period": (
+        ["identify", "--config", "{identify}", "--u", "{u}", "--y", "{u}",
+         "--period", "0"], 2, "--period"),
+    "identify-negative-period": (
+        ["identify", "--config", "{identify}", "--u", "{u}", "--y", "{u}",
+         "--period", "-5"], 2, "--period"),
+    "predict-unknown-basis": (
+        ["predict", "--model", "{poly_basis}", "--u", "{u}"], 2, "legendre"),
+    "predict-negative-degree": (
+        ["predict", "--model", "{poly_degree}", "--u", "{u}"], 2, "degree"),
+    "predict-float-degree": (
+        ["predict", "--model", "{poly_degree_float}", "--u", "{u}"], 2,
+        "degree"),
+    "predict-string-coefficient": (
+        ["predict", "--model", "{poly_coefficient_string}", "--u", "{u}"], 2,
+        "coefficients"),
+    "predict-exponent-above-degree": (
+        ["predict", "--model", "{poly_exponent_high}", "--u", "{u}"], 2,
+        "exponents"),
+    "predict-too-many-exponents": (
+        ["predict", "--model", "{poly_exponents_long}", "--u", "{u}"], 2,
+        "exponents"),
+    "predict-float-exponent": (
+        ["predict", "--model", "{poly_exponent_float}", "--u", "{u}"], 2,
+        "exponents"),
+    "predict-negative-exponent": (
+        ["predict", "--model", "{poly_exponent_negative}", "--u", "{u}"], 2,
+        "exponents"),
+    "predict-standardization-length": (
+        ["predict", "--model", "{poly_std_length}", "--u", "{u}"], 2,
+        "standardization"),
+    "predict-zero-scale": (
+        ["predict", "--model", "{poly_std_zero}", "--u", "{u}"], 2,
+        "standardization"),
 }
+
+STATIC_POLY = {"n_channels": 1, "degree": 1, "basis": "monomial",
+               "terms": [{"exponents": [0], "coefficient": 0.0},
+                         {"exponents": [1], "coefficient": 1.0}]}
+
+
+def static_model(exponents=None, **poly):
+    """The model y = x of a bank without poles; ``exponents`` replaces those
+    of the linear term, ``poly`` other keys of the polynomial."""
+    doc = dict(STATIC_POLY, **poly)
+    if exponents is not None:
+        doc["terms"] = [doc["terms"][0], {"exponents": exponents,
+                                          "coefficient": 1.0}]
+    return {"bank": {"base_poles": [], "n_rep": 0}, "poly": doc}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUT_CASES))
@@ -374,11 +431,8 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
         "garbage": garbage,
         "non_finite": non_finite,
         "no_poles": write_json(tmp_path / "no_poles.json", {"bank": {}}),
-        "static_model": write_json(tmp_path / "static_model.json", {
-            "bank": {"base_poles": [], "n_rep": 0},
-            "poly": {"n_channels": 1, "degree": 1, "basis": "monomial",
-                     "terms": [{"exponents": [0], "coefficient": 0.0},
-                               {"exponents": [1], "coefficient": 1.0}]}}),
+        "static_model": write_json(tmp_path / "static_model.json",
+                                   static_model()),
         "identify": write_json(tmp_path / "id_ok.json", {
             "n_a": 1, "n_b": 1, "n_rep": 1, "degree": 1}),
         "identity": write_json(tmp_path / "identity.json", IDENTITY_SYSTEM),
@@ -412,7 +466,30 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
         "study_n_a": write_json(tmp_path / "study_n_a.json", {
             "kind": "pole_rate", "system": "example1", "n_trials": 1,
             "n_freqs_grid": [32], "n_a": -1}),
+        "period_zero": write_json(tmp_path / "period_zero.json", {
+            "samples": [0.5] * 256, "periodic": True, "period_samples": 0}),
+        "period_negative": write_json(tmp_path / "period_negative.json", {
+            "samples": [0.5] * 256, "periodic": True, "period_samples": -2}),
+        "periodic_empty": write_json(tmp_path / "periodic_empty.json", {
+            "samples": [], "periodic": True}),
     }
+    for key, model in {
+            "poly_basis": static_model(basis="legendre"),
+            "poly_degree": static_model(degree=-1),
+            "poly_degree_float": static_model(degree=1.9),
+            "poly_coefficient_string": static_model(terms=[
+                {"exponents": [0], "coefficient": "0.0"},
+                {"exponents": [1], "coefficient": "2.5"}]),
+            "poly_exponent_high": static_model(exponents=[2]),
+            "poly_exponents_long": static_model(exponents=[0, 1]),
+            "poly_exponent_float": static_model(exponents=[1.0]),
+            "poly_exponent_negative": static_model(exponents=[-1]),
+            "poly_std_length": static_model(
+                standardization={"mean": [0.0, 0.0], "scale": [1.0, 1.0]}),
+            "poly_std_zero": static_model(
+                standardization={"mean": [0.0], "scale": [0.0]}),
+    }.items():
+        files[key] = write_json(tmp_path / f"{key}.json", model)
     argv = [arg.format(**files) for arg in template] + ["--out-dir", str(out)]
     src = os.path.dirname(os.path.dirname(wiener_gobf.__file__))
     proc = subprocess.run(

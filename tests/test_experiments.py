@@ -99,7 +99,7 @@ class TestSystems:
         from wiener_gobf.ratfun import poles
 
         ps = poles(example1_system().g)
-        assert np.all(np.abs(ps.poles) < 1)
+        assert np.all(np.abs(ps) < 1)
 
     def test_example2_saturation_levels(self):
         f = example2_system().f

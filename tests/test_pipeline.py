@@ -171,8 +171,8 @@ class TestIntermediate:
         x, y = simulate(system, u)
         bank = build_bank(poles(EX1_G), 1)
         X = bank_outputs(bank, u)
-        est = estimate_intermediate(bank, y, X)
-        corr = np.corrcoef(est.x_hat, x.samples)[0, 1]
+        x_hat = estimate_intermediate(bank, y, X)
+        corr = np.corrcoef(x_hat, x.samples)[0, 1]
         assert corr > 1 - 1e-10
 
     def test_zero_output_gives_zero_coefficients(self):
@@ -180,14 +180,14 @@ class TestIntermediate:
         bank = build_bank(poles(EX1_G), 1)
         X = bank_outputs(bank, u)
         y = SignalRecord(np.zeros(256), periodic=True, period_samples=256)
-        est = estimate_intermediate(bank, y, X)
-        np.testing.assert_allclose(est.alpha_hat, 0.0, atol=1e-12)
-        np.testing.assert_allclose(est.x_hat, 0.0, atol=1e-12)
+        # X has full column rank, so x_hat = X alpha_hat = 0 forces alpha_hat = 0
+        np.testing.assert_allclose(estimate_intermediate(bank, y, X), 0.0,
+                                   atol=1e-12)
 
     def test_scatter_pairs_shape(self):
         u = generate_multisine(MultisineSpec(n_samples=128, n_freqs=20, seed=16))
         bank = build_bank(poles(EX1_G), 1)
         X = bank_outputs(bank, u)
         y = SignalRecord(np.ones(128), periodic=True, period_samples=128)
-        pairs = estimate_intermediate(bank, y, X).scatter_pairs(y)
-        assert pairs.shape == (128, 2)
+        x_hat = estimate_intermediate(bank, y, X)
+        assert x_hat.shape == y.samples.shape == (128,)

@@ -1,17 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wiener_gobf.bla import stabilize_poles
 from wiener_gobf.errors import InvalidSpecError, SingularityError, UnstableFilterError
 from wiener_gobf.gobf import build_bank, transient_length
 from wiener_gobf.ratfun import (
     PERIODIC,
     ZERO_INITIAL,
-    PoleSet,
     RationalTF,
     filter_time,
     freq_response,
     poles,
-    zeros,
 )
 from wiener_gobf.signals import MultisineSpec, SignalRecord, generate_multisine
 
@@ -24,6 +27,19 @@ def random_stable_tf(seed, n=3):
     p = rng.uniform(-0.9, 0.9, n)
     z = rng.uniform(-0.9, 0.9, n)
     return RationalTF(b=1.7 * np.poly(z), a=np.poly(p))
+
+
+def assert_conjugate_closed(p):
+    """The pole set equals its own conjugate set exactly, not to a tolerance."""
+    np.testing.assert_array_equal(np.sort_complex(p), np.sort_complex(p.conj()))
+
+
+# (modulus, angle, real): the real pole +-modulus, signed as cos(angle), or
+# the conjugate pair modulus*exp(+-j angle).
+pole_specs = st.lists(
+    st.tuples(st.floats(min_value=0.05, max_value=0.95),
+              st.floats(min_value=0.0, max_value=np.pi), st.booleans()),
+    min_size=1, max_size=4)
 
 
 class TestFreqResponse:
@@ -102,40 +118,44 @@ class TestFilterTime:
 class TestRoots:
     def test_single_real_pole(self):
         tf = RationalTF(b=np.array([1.0]), a=np.array([1.0, -0.5]))
-        np.testing.assert_allclose(poles(tf).poles, [0.5], atol=1e-14)
+        np.testing.assert_allclose(poles(tf), [0.5], atol=1e-14)
 
     def test_example1_poles_reconstruct_polynomial(self):
-        ps = poles(EX1).poles
+        ps = poles(EX1)
         assert len(ps) == 3
         rebuilt = np.real(np.poly(ps))
         np.testing.assert_allclose(rebuilt, EX1.a, atol=1e-10)
-        assert PoleSet(ps).is_conjugate_closed()
+        assert_conjugate_closed(ps)
 
     def test_pure_imaginary_pair(self):
         tf = RationalTF(b=np.array([1.0]), a=np.array([1.0, 0.0, 0.25]))
-        got = np.sort_complex(poles(tf).poles)
+        got = np.sort_complex(poles(tf))
         # roots of z^2 + 0.25 by the quadratic formula
         expected = np.sort_complex(np.array([0.5j, -0.5j]))
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
-    def test_conjugate_closure_is_exact(self):
-        tf = random_stable_tf(11, n=5)
-        ps = poles(tf).poles
-        assert PoleSet(ps).is_conjugate_closed(tol=1e-15)
+    @given(pole_specs, st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_conjugate_closure_is_exact(self, specs, cut):
+        """Poles of a stable real transfer function are exactly conjugate
+        closed, stay so when stabilize_poles reflects pairs back inside the
+        unit circle, and make a bank."""
+        roots = []
+        for modulus, angle, real in specs:
+            roots += [modulus if angle < np.pi / 2 else -modulus] if real else \
+                [modulus * np.exp(1j * angle), modulus * np.exp(-1j * angle)]
+        tf = RationalTF(b=np.array([1.0]), a=np.real(np.poly(roots)))
+        ps = poles(tf)
+        assert len(ps) == len(roots)
+        assert_conjugate_closed(ps)
 
-    def test_zeros_of_known_numerator(self):
-        tf = RationalTF(b=np.poly([0.3, -0.6]), a=np.array([1.0]))
-        np.testing.assert_allclose(np.sort(zeros(tf).poles.real), [-0.6, 0.3],
-                                   atol=1e-12)
-
-    def test_pole_zero_gain_round_trip(self):
-        tf = random_stable_tf(13)
-        ps, zs = poles(tf).poles, zeros(tf).poles
-        rebuilt = RationalTF(b=tf.b[0] * np.real(np.poly(zs)),
-                             a=tf.a[0] * np.real(np.poly(ps)))
-        om = np.linspace(0, np.pi, 1024)
-        h0, h1 = freq_response(tf, om), freq_response(rebuilt, om)
-        np.testing.assert_allclose(h1, h0, rtol=1e-8)
+        outside = np.where(np.abs(ps) > cut, 1.0 / np.conj(ps), ps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            stable = stabilize_poles(outside)
+        assert np.all(np.abs(stable) < 1.0)
+        assert_conjugate_closed(stable)
+        assert build_bank(stable, n_rep=1).n_base == len(roots)
 
     def test_zero_leading_denominator_rejected(self):
         with pytest.raises(InvalidSpecError):

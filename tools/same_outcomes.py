@@ -1,0 +1,88 @@
+"""Check that the program still gives the benchmark's stored outcomes exactly.
+
+    python3 tools/same_outcomes.py [WORKLOAD [POOL]]
+
+Run from the repository root; the arguments are those of
+``perfbench/make_refs.py`` and default to every workload and pool.  Like
+the benchmark, it pins BLAS to one thread and imports the package from
+``src``.  It runs every trial of each pool and counts the ops whose outcome
+equals its stored reference exactly (``==`` on every value), the test a
+change meant to keep results bit-identical must pass.  Per pool it prints
+that count and the largest deviation from the reference per metric.  It
+exits 1 if any op raises or fails ``Workload.check``, the benchmark's own
+tolerance check.
+"""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+
+import benchenv  # noqa: E402
+
+benchenv.pin_threads()
+
+import warnings  # noqa: E402
+
+import workloads  # noqa: E402
+
+METRICS = ("nrmse", "pole_error", "sup_error")
+
+
+def max_deviation(outcome: dict, ref: dict) -> dict:
+    """Largest |outcome - reference| per metric over the op's conditions;
+    inf where only one side has a value or the conditions differ."""
+    got, want = outcome["conditions"], ref["conditions"]
+    dev = dict.fromkeys(METRICS, 0.0)
+    for key, w in want.items():
+        g = got.get(key)
+        for metric in METRICS:
+            if g is None or (g[metric] is None) != (w[metric] is None):
+                dev[metric] = float("inf")
+            elif w[metric] is not None:
+                dev[metric] = max(dev[metric], abs(g[metric] - w[metric]))
+    return dev
+
+
+def check_pool(name: str, pool: str) -> bool:
+    """Run every trial of one pool; print the summary; True when all pass
+    the benchmark's check."""
+    wl = workloads.setup(name, pool)
+    same, failures = 0, []
+    dev = dict.fromkeys(METRICS, 0.0)
+    for i in range(wl.pool_size):
+        try:
+            result = wl.op(i)
+        except Exception as exc:  # a raising op is a failed op, keep going
+            failures.append(f"trial {i}: raised {exc!r}")
+            continue
+        outcome, ref = wl.outcome(result), wl.refs[i]
+        same += (not outcome["failed"]
+                 and outcome["conditions"] == ref["conditions"])
+        for metric, d in max_deviation(outcome, ref).items():
+            dev[metric] = max(dev[metric], d)
+        why = wl.check(i, result)
+        if why:
+            failures.append(f"trial {i}: {why}")
+    print(f"{name}/{pool}: {same}/{wl.pool_size} ops == reference, "
+          f"{len(failures)} fail the check; max |deviation| "
+          + ", ".join(f"{m} {d:.3g}" for m, d in dev.items()), flush=True)
+    for line in failures:
+        print(f"  {line}", flush=True)
+    return not failures
+
+
+def main(argv) -> int:
+    names = argv[:1] or list(workloads.NAMES)
+    pools = argv[1:2] or list(workloads.POOLS)
+    warnings.simplefilter("ignore")
+    ok = True
+    for name in names:
+        for pool in pools:
+            ok &= check_pool(name, pool)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
