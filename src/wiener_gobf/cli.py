@@ -190,6 +190,8 @@ def _read_signal(path, args) -> SignalRecord:
         raise CliError(f"signal file {path} is malformed: {exc!r}")
     if not np.all(np.isfinite(record.samples)):
         raise CliError(f"signal file {path} has non-finite or unparsable samples")
+    if record.samples.size == 0:
+        raise CliError(f"signal file {path} has no samples")
     if getattr(args, "period", None) is not None:
         if args.period < 1:
             raise CliError(f"--period must be >= 1, not {args.period}")

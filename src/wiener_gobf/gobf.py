@@ -121,7 +121,9 @@ class GobfBank:
         base = np.array([complex(re, im) for re, im in doc["base_poles"]])
         if doc.get("include_constant", True) is not True:
             raise InvalidSpecError("banks without the constant F_0 = 1 are not supported")
-        return cls(base_poles=base, n_rep=int(doc["n_rep"]))
+        if type(doc["n_rep"]) is not int:
+            raise InvalidSpecError(f"n_rep must be an int, not {doc['n_rep']!r}")
+        return cls(base_poles=base, n_rep=doc["n_rep"])
 
 
 def build_bank(poles: np.ndarray, n_rep: int) -> GobfBank:

@@ -24,6 +24,10 @@ MultiIndex = Tuple[int, ...]
 MONOMIAL = "monomial"
 HERMITE = "hermite"
 
+# Cholesky squares cond(psi) in the normal equations; above this estimate of
+# cond(psi) fit_ls solves with gelsd instead.  Fixed a priori, not tuned.
+CHOLESKY_COND_LIMIT = 1e4
+
 
 def enumerate_multi_indices(n_channels: int, degree: int) -> list[MultiIndex]:
     """All exponent tuples with total degree <= Q in graded order, constant
@@ -132,8 +136,8 @@ def build_regressors(X: np.ndarray, degree: int, basis: str = MONOMIAL,
     table = _channel_power_table(X, degree, basis, standardization)
     indices = enumerate_multi_indices(n_ch, degree)
     position = {expo: j for j, expo in enumerate(indices)}
-    # Fortran order: each column is contiguous, and lstsq hands gelsd a
-    # plain copy instead of a transposed one.
+    # Fortran order: each column is contiguous, psi.T @ psi is one syrk, and
+    # lstsq hands gelsd a plain copy instead of a transposed one.
     # Column j is its parent column (the same index with the last nonzero
     # channel set to 0, an earlier column in graded order) times one channel
     # row, so every product keeps the channel order ((t_a * t_b) * t_c).
@@ -148,18 +152,40 @@ def build_regressors(X: np.ndarray, degree: int, basis: str = MONOMIAL,
     return prob.with_target(y) if y is not None else prob
 
 
-def fit_ls(prob: RegressionProblem) -> np.ndarray:
-    """Least-squares coefficients via orthogonal factorization.
+def _cholesky_solve(psi: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
+    """Solve the normal equations through the Cholesky factor R of psi^T psi.
 
-    Rank deficiency yields the minimum-norm solution and a warning; the
-    overparameterized regime is expected for rich banks on short records.
+    None when the factorization fails or LAPACK's 1-norm estimate of
+    cond(R) = cond(psi) exceeds ``CHOLESKY_COND_LIMIT``.
+    """
+    r, info = scipy.linalg.lapack.dpotrf(psi.T @ psi)
+    if info:
+        return None
+    rcond, info = scipy.linalg.lapack.dtrcon(r, norm="1", uplo="U")
+    if info or rcond * CHOLESKY_COND_LIMIT < 1.0:
+        return None
+    beta, info = scipy.linalg.lapack.dpotrs(r, psi.T @ y)
+    return None if info else beta
+
+
+def fit_ls(prob: RegressionProblem) -> np.ndarray:
+    """Least-squares coefficients.
+
+    Cholesky of the normal equations when psi is tall and well conditioned;
+    otherwise SVD-based gelsd, whose rank deficiency yields the minimum-norm
+    solution and a warning (the overparameterized regime is expected for
+    rich banks on short records).  Neither path modifies psi or y.
     """
     if prob.y is None:
         raise InvalidSpecError("regression problem has no target attached")
     if not np.all(np.isfinite(prob.psi)) or not np.all(np.isfinite(prob.y)):
         raise InvalidSpecError("regression data must be finite")
-    # The check above is the only finiteness check: lstsq's own would scan
-    # psi a second time.
+    if prob.psi.shape[0] >= prob.psi.shape[1]:
+        beta = _cholesky_solve(prob.psi, prob.y)
+        if beta is not None:
+            return beta
+    # The finiteness check above is the only one: lstsq's own would scan psi
+    # a second time.
     beta, _, rank, _ = scipy.linalg.lstsq(prob.psi, prob.y,
                                           lapack_driver="gelsd",
                                           check_finite=False)
@@ -228,11 +254,14 @@ class MultiPolyModel:
                     f"non-negative ints summing to at most degree {degree}")
         std = None
         if "standardization" in doc:
-            mean = np.array(doc["standardization"]["mean"], dtype=float)
-            scale = np.array(doc["standardization"]["scale"], dtype=float)
-            if mean.shape != (n_channels,) or scale.shape != (n_channels,):
+            std_doc = doc["standardization"]
+            mean, scale = std_doc["mean"], std_doc["scale"]
+            if not all(type(v) is list and len(v) == n_channels
+                       and all(type(x) in (int, float) for x in v)
+                       for v in (mean, scale)):
                 raise InvalidSpecError(
-                    f"standardization needs {n_channels} means and scales")
+                    f"standardization needs {n_channels} numeric means and scales")
+            mean, scale = np.array(mean, dtype=float), np.array(scale, dtype=float)
             if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale))
                     and np.all(scale > 0)):
                 raise InvalidSpecError(

@@ -8,6 +8,7 @@ unnormalized, inverse carries the 1/N factor).
 from __future__ import annotations
 
 import json
+import warnings
 import zlib
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
@@ -115,7 +116,13 @@ class SignalRecord:
     @classmethod
     def from_csv(cls, path) -> "SignalRecord":
         """An aperiodic record from the ``value`` column of ``to_csv``."""
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
+        with warnings.catch_warnings():
+            # An empty file is an empty record, not a warning.
+            warnings.filterwarnings("ignore", "genfromtxt: Empty input file",
+                                    UserWarning)
+            data = np.genfromtxt(path, delimiter=",", skip_header=1)
+        if data.size == 0:
+            return cls(samples=np.empty(0))
         return cls(samples=np.atleast_2d(data)[:, 1])
 
     def to_json_dict(self, generator: Optional[dict] = None) -> dict:

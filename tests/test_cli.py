@@ -397,6 +397,17 @@ MALFORMED_INPUT_CASES = {
     "predict-zero-scale": (
         ["predict", "--model", "{poly_std_zero}", "--u", "{u}"], 2,
         "standardization"),
+    "predict-string-standardization": (
+        ["predict", "--model", "{poly_std_string}", "--u", "{u}"], 2,
+        "standardization"),
+    "predict-float-n_rep": (
+        ["predict", "--model", "{bank_n_rep_float}", "--u", "{u}"], 2, "n_rep"),
+    "identify-empty-json-signal": (
+        ["identify", "--config", "{identify}", "--u", "{empty_json}", "--y",
+         "{empty_json}"], 2, "empty.json"),
+    "identify-empty-csv-signal": (
+        ["identify", "--config", "{identify}", "--u", "{empty_csv}", "--y",
+         "{empty_csv}"], 2, "empty.csv"),
 }
 
 STATIC_POLY = {"n_channels": 1, "degree": 1, "basis": "monomial",
@@ -426,10 +437,14 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
               for i in range(1020)]
     non_finite.write_text("index,value\n" + "".join(
         f"{i},{v}\n" for i, v in enumerate(values)))
+    empty_csv = tmp_path / "empty.csv"
+    empty_csv.write_text("index,value\n")
     files = {
         "u": gen_multisine(tmp_path, out, n=256, nf=32),
         "garbage": garbage,
         "non_finite": non_finite,
+        "empty_csv": empty_csv,
+        "empty_json": write_json(tmp_path / "empty.json", {"samples": []}),
         "no_poles": write_json(tmp_path / "no_poles.json", {"bank": {}}),
         "static_model": write_json(tmp_path / "static_model.json",
                                    static_model()),
@@ -488,6 +503,10 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
                 standardization={"mean": [0.0, 0.0], "scale": [1.0, 1.0]}),
             "poly_std_zero": static_model(
                 standardization={"mean": [0.0], "scale": [0.0]}),
+            "poly_std_string": static_model(
+                standardization={"mean": ["0.5"], "scale": [1.0]}),
+            "bank_n_rep_float": dict(static_model(),
+                                     bank={"base_poles": [], "n_rep": 1.9}),
     }.items():
         files[key] = write_json(tmp_path / f"{key}.json", model)
     argv = [arg.format(**files) for arg in template] + ["--out-dir", str(out)]
@@ -498,3 +517,4 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
     assert "Traceback" not in proc.stderr
     assert proc.returncode == code, proc.stderr
     assert message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr

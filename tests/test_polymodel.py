@@ -2,15 +2,18 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wiener_gobf import experiments, pipeline
 from wiener_gobf.errors import InvalidSpecError, RankDeficiencyWarning
 from wiener_gobf.gobf import build_bank, bank_outputs
 from wiener_gobf.polymodel import (
     HERMITE,
     MONOMIAL,
     MultiPolyModel,
+    RegressionProblem,
     build_regressors,
     enumerate_multi_indices,
     evaluate,
@@ -208,6 +211,62 @@ class TestFitLs:
         with pytest.warns(RankDeficiencyWarning):
             beta = fit_ls(prob.with_target(2.0 * x))
         np.testing.assert_allclose(beta, [1.0, 1.0], atol=1e-10)
+
+    @staticmethod
+    def random_problem(n, singular_values, seed=7):
+        """psi = U diag(s) V^T in Fortran order, with a random target."""
+        rng = np.random.default_rng(seed)
+        m = len(singular_values)
+        u, _ = np.linalg.qr(rng.standard_normal((n, m)))
+        v, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        psi = np.asfortranarray(u * singular_values @ v.T)
+        return RegressionProblem(psi, [(j,) for j in range(m)], MONOMIAL,
+                                 y=rng.standard_normal(n))
+
+    @staticmethod
+    def gelsd(prob):
+        return scipy.linalg.lstsq(prob.psi, prob.y, lapack_driver="gelsd")[0]
+
+    def test_well_conditioned_matches_gelsd_without_calling_it(self, monkeypatch):
+        prob = self.random_problem(400, np.linspace(1.0, 0.1, 20))
+        expected = self.gelsd(prob)
+        monkeypatch.setattr(scipy.linalg, "lstsq", None)  # Cholesky path only
+        beta = fit_ls(prob)
+        np.testing.assert_allclose(beta, expected, rtol=1e-10, atol=0)
+
+    def test_ill_conditioned_falls_back_to_gelsd_exactly(self):
+        prob = self.random_problem(400, np.logspace(0, -6, 20))
+        assert np.array_equal(fit_ls(prob), self.gelsd(prob))
+
+    def test_wide_problem_returns_min_norm_and_warns(self):
+        prob = self.random_problem(8, np.ones(8))
+        prob.psi = np.asfortranarray(np.hstack([prob.psi, prob.psi[:, :4]]))
+        prob.indices = [(j,) for j in range(12)]
+        with pytest.warns(RankDeficiencyWarning):
+            beta = fit_ls(prob)
+        np.testing.assert_allclose(beta, np.linalg.pinv(prob.psi) @ prob.y,
+                                   atol=1e-10)
+
+    @pytest.mark.parametrize("smallest", [0.1, 1e-6], ids=["cholesky", "gelsd"])
+    def test_inputs_unchanged(self, smallest):
+        prob = self.random_problem(300, np.linspace(1.0, smallest, 15))
+        psi, y = prob.psi.copy(), prob.y.copy()
+        fit_ls(prob)
+        assert np.array_equal(prob.psi, psi) and np.array_equal(prob.y, y)
+
+    def test_benchmark_hard_case_stays_on_gelsd(self):
+        """Default convergence trial 13 of the benchmark at N_F = 341,
+        n_rep = 3: cond(psi) is about 7.7e4, so the guard must send it to
+        gelsd and reproduce gelsd's coefficients bit for bit."""
+        cfg = experiments.StudyConfig(kind=experiments.CONVERGENCE,
+                                      system=experiments.example1_system(),
+                                      n_trials=1, base_seed=1_000_013)
+        u, y = experiments._periodic_trial_data(cfg, 0, 341)
+        icfg = cfg.identify_config(n_rep=3)
+        pole_set, _ = pipeline.estimate_bla_poles(u, y, icfg)
+        X = bank_outputs(build_bank(pole_set, 3), u, mode=icfg.filtering)
+        prob = build_regressors(X, 3, basis=HERMITE, y=y.samples)
+        assert np.array_equal(fit_ls(prob), self.gelsd(prob))
 
     def test_scale_equivariance_in_target(self):
         rng = np.random.default_rng(6)

@@ -8,9 +8,11 @@ the benchmark, it pins BLAS to one thread and imports the package from
 ``src``.  It runs every trial of each pool and counts the ops whose outcome
 equals its stored reference exactly (``==`` on every value), the test a
 change meant to keep results bit-identical must pass.  Per pool it prints
-that count and the largest deviation from the reference per metric.  It
-exits 1 if any op raises or fails ``Workload.check``, the benchmark's own
-tolerance check.
+that count and, per metric, the largest deviation from the reference, both
+absolute and as a share of the tolerance ``Workload.check`` applies (the
+benchmark's own check; sup_error is divided by max|y_val| first), the
+margin a change that moves results at rounding level keeps.  It exits 1 if
+any op raises or fails ``Workload.check``.
 """
 
 import os
@@ -30,19 +32,24 @@ import workloads  # noqa: E402
 METRICS = ("nrmse", "pole_error", "sup_error")
 
 
-def max_deviation(outcome: dict, ref: dict) -> dict:
-    """Largest |outcome - reference| per metric over the op's conditions;
-    inf where only one side has a value or the conditions differ."""
+def max_deviation(outcome: dict, ref: dict) -> tuple[dict, dict]:
+    """Largest |outcome - reference| per metric over the op's conditions, and
+    the same as a share of the check's tolerance; inf where only one side
+    has a value or the conditions differ."""
     got, want = outcome["conditions"], ref["conditions"]
-    dev = dict.fromkeys(METRICS, 0.0)
+    dev, share = dict.fromkeys(METRICS, 0.0), dict.fromkeys(METRICS, 0.0)
     for key, w in want.items():
         g = got.get(key)
         for metric in METRICS:
             if g is None or (g[metric] is None) != (w[metric] is None):
-                dev[metric] = float("inf")
+                dev[metric] = share[metric] = float("inf")
             elif w[metric] is not None:
-                dev[metric] = max(dev[metric], abs(g[metric] - w[metric]))
-    return dev
+                d = abs(g[metric] - w[metric])
+                tol = workloads.ATOL * (ref["y_val_max"] if metric == "sup_error"
+                                        else 1.0)
+                dev[metric] = max(dev[metric], d)
+                share[metric] = max(share[metric], d / tol)
+    return dev, share
 
 
 def check_pool(name: str, pool: str) -> bool:
@@ -50,7 +57,7 @@ def check_pool(name: str, pool: str) -> bool:
     the benchmark's check."""
     wl = workloads.setup(name, pool)
     same, failures = 0, []
-    dev = dict.fromkeys(METRICS, 0.0)
+    dev, share = dict.fromkeys(METRICS, 0.0), dict.fromkeys(METRICS, 0.0)
     for i in range(wl.pool_size):
         try:
             result = wl.op(i)
@@ -60,14 +67,17 @@ def check_pool(name: str, pool: str) -> bool:
         outcome, ref = wl.outcome(result), wl.refs[i]
         same += (not outcome["failed"]
                  and outcome["conditions"] == ref["conditions"])
-        for metric, d in max_deviation(outcome, ref).items():
-            dev[metric] = max(dev[metric], d)
+        op_dev, op_share = max_deviation(outcome, ref)
+        for metric in METRICS:
+            dev[metric] = max(dev[metric], op_dev[metric])
+            share[metric] = max(share[metric], op_share[metric])
         why = wl.check(i, result)
         if why:
             failures.append(f"trial {i}: {why}")
     print(f"{name}/{pool}: {same}/{wl.pool_size} ops == reference, "
           f"{len(failures)} fail the check; max |deviation| "
-          + ", ".join(f"{m} {d:.3g}" for m, d in dev.items()), flush=True)
+          + ", ".join(f"{m} {dev[m]:.3g} ({share[m]:.3g} of tolerance)"
+                      for m in METRICS), flush=True)
     for line in failures:
         print(f"  {line}", flush=True)
     return not failures
