@@ -39,7 +39,6 @@ from .pipeline import (
 )
 from .polymodel import (
     MultiPolyModel,
-    RegressionProblem,
     build_regressors,
     enumerate_multi_indices,
     evaluate,

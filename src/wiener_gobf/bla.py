@@ -75,9 +75,9 @@ class BlaFitResult:
 # Nonparametric estimates
 # ---------------------------------------------------------------------------
 
-def estimate_frf(u: SignalRecord, y: SignalRecord,
-                 n_periods: Optional[int] = None) -> NonparametricBla:
-    """FRF as the ratio of period-averaged output and input DFTs.
+def estimate_frf(u: SignalRecord, y: SignalRecord) -> NonparametricBla:
+    """FRF as the ratio of output and input DFTs averaged over every period
+    of the record.
 
     The input must be periodic with a known period.  Excited bins are
     detected from the averaged input spectrum; an input with no detected
@@ -88,14 +88,8 @@ def estimate_frf(u: SignalRecord, y: SignalRecord,
     p = int(u.period_samples)
     if len(y.samples) != len(u.samples):
         raise InvalidSpecError("input and output records must have equal length")
-    total = len(u.samples)
-    if n_periods is None:
-        n_periods = total // p
-    if n_periods < 1 or n_periods * p > total:
-        raise InvalidSpecError("record does not contain n_periods full periods")
-
-    u_blocks = u.samples[: n_periods * p].reshape(n_periods, p)
-    y_blocks = y.samples[: n_periods * p].reshape(n_periods, p)
+    u_blocks = u.samples.reshape(-1, p)
+    y_blocks = y.samples.reshape(-1, p)
     u_spec = np.mean(np.fft.fft(u_blocks, axis=1), axis=0)
     y_spec = np.mean(np.fft.fft(y_blocks, axis=1), axis=0)
 

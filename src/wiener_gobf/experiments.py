@@ -163,12 +163,9 @@ class StudyConfig:
     n_b: int = 3
     degree: int = 3
     basis: str = polymodel.HERMITE
-    period_per_freq: int = EX1_PERIOD_PER_FREQ
-    input_rms: float = 1.0
     validation_n_freqs: int = 10922
     # noise-study data sizes (Example-2 protocol)
     n_samples: int = 1000
-    input_variance: float = 1.0
     welch_segment: Optional[int] = 250
 
     def validate(self) -> None:
@@ -452,13 +449,8 @@ def min_max_pole_distance(estimated, reference) -> float:
 
 def _convergence_validation(cfg: StudyConfig):
     """Fixed validation multisine + noiseless response, shared by all trials."""
-    spec = MultisineSpec(
-        n_samples=cfg.period_per_freq * cfg.validation_n_freqs,
-        n_freqs=cfg.validation_n_freqs,
-        target_rms=cfg.input_rms,
-        seed=derive_seed(cfg.base_seed, "validation"),
-    )
-    u_val = generate_multisine(spec)
+    u_val = generate_multisine(example1_multisine_spec(
+        cfg.validation_n_freqs, seed=derive_seed(cfg.base_seed, "validation")))
     _, y_val = simulate(cfg.system, u_val, mode=PERIODIC, include_noise=False)
     return u_val, y_val
 
@@ -466,13 +458,8 @@ def _convergence_validation(cfg: StudyConfig):
 def _periodic_trial_data(cfg: StudyConfig, trial: int, nf: int):
     """Fresh-phase multisine with ``nf`` excited bins and the system's
     steady-state response to it."""
-    spec = MultisineSpec(
-        n_samples=cfg.period_per_freq * nf,
-        n_freqs=nf,
-        target_rms=cfg.input_rms,
-        seed=derive_seed(cfg.base_seed, "trial", trial, "nf", nf),
-    )
-    u = generate_multisine(spec)
+    u = generate_multisine(example1_multisine_spec(
+        nf, seed=derive_seed(cfg.base_seed, "trial", trial, "nf", nf)))
     system = cfg.system.with_noise_seed(
         derive_seed(cfg.base_seed, "trial", trial, "noise", nf))
     _, y = simulate(system, u, mode=PERIODIC)
@@ -539,11 +526,9 @@ def _noise_trial(cfg: StudyConfig, trial: int, validation) -> list:
     count, scored by NRMSE against the noisy validation output; the
     validation-NRMSE minimizer is flagged as selected."""
     u_est = generate_gaussian(
-        cfg.n_samples, variance=cfg.input_variance,
-        seed=derive_seed(cfg.base_seed, "trial", trial, "u-est"))
+        cfg.n_samples, seed=derive_seed(cfg.base_seed, "trial", trial, "u-est"))
     u_val = generate_gaussian(
-        cfg.n_samples, variance=cfg.input_variance,
-        seed=derive_seed(cfg.base_seed, "trial", trial, "u-val"))
+        cfg.n_samples, seed=derive_seed(cfg.base_seed, "trial", trial, "u-val"))
     sys_est = cfg.system.with_noise_seed(
         derive_seed(cfg.base_seed, "trial", trial, "e-est"))
     sys_val = cfg.system.with_noise_seed(

@@ -45,8 +45,9 @@ def _canonical_pole_order(poles: np.ndarray) -> np.ndarray:
         if _is_real_pole(p):
             items.append((abs(p), 0.0, [complex(p.real)]))
             continue
-        j = min(range(len(remaining)), key=lambda i: abs(remaining[i] - np.conj(p)))
-        if abs(remaining[j] - np.conj(p)) > 1e-8 * (1.0 + abs(p)):
+        j = min(range(len(remaining)), default=None,
+                key=lambda i: abs(remaining[i] - np.conj(p)))
+        if j is None or abs(remaining[j] - np.conj(p)) > 1e-8 * (1.0 + abs(p)):
             raise InvalidSpecError("pole set is not conjugate closed")
         remaining.pop(j)
         rep = p if p.imag > 0 else np.conj(p)

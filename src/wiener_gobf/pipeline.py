@@ -137,7 +137,6 @@ class IdentifyConfig:
     basis: str = polymodel.HERMITE
     filtering: str = PERIODIC
     frf: str = FRF_PERIODIC
-    n_periods: Optional[int] = None
     welch_segment: Optional[int] = None
 
     def validate(self) -> None:
@@ -148,9 +147,8 @@ class IdentifyConfig:
         for key in ("n_a", "n_b"):
             if getattr(self, key) < 0:
                 raise InvalidSpecError(f"{key!r} must be >= 0")
-        for key in ("n_periods", "welch_segment"):
-            if getattr(self, key) is not None and getattr(self, key) < 1:
-                raise InvalidSpecError(f"{key!r} must be >= 1 when set")
+        if self.welch_segment is not None and self.welch_segment < 1:
+            raise InvalidSpecError("'welch_segment' must be >= 1 when set")
         if self.filtering not in (PERIODIC, ZERO_INITIAL):
             raise InvalidSpecError(f"unknown filtering mode {self.filtering!r}")
         if self.frf not in (FRF_PERIODIC, FRF_WELCH):
@@ -213,7 +211,7 @@ def estimate_bla_poles(u: SignalRecord, y: SignalRecord,
     """Steps 1a-1c: nonparametric FRF, rational fit, stabilized poles."""
     try:
         if cfg.frf == FRF_PERIODIC:
-            frf = bla.estimate_frf(u, y, n_periods=cfg.n_periods)
+            frf = bla.estimate_frf(u, y)
         else:
             frf = bla.estimate_frf_welch(u, y, segment_length=cfg.welch_segment)
     except Exception as exc:

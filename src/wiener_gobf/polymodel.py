@@ -9,7 +9,6 @@ space with far better conditioning and is the default for estimation.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -47,10 +46,6 @@ def enumerate_multi_indices(n_channels: int, degree: int) -> list[MultiIndex]:
     return indices
 
 
-def n_coefficients(n_channels: int, degree: int) -> int:
-    return math.comb(n_channels + degree, degree)
-
-
 @dataclass(frozen=True)
 class ChannelStandardization:
     """Per-channel shift and scale frozen at fit time (hermite mode)."""
@@ -76,10 +71,6 @@ class ChannelStandardization:
             scale = np.where(degenerate, 1.0, scale)
         return cls(mean=mean, scale=scale)
 
-    @classmethod
-    def identity(cls, n_channels: int) -> "ChannelStandardization":
-        return cls(mean=np.zeros(n_channels), scale=np.ones(n_channels))
-
 
 def _hermite_table(x: np.ndarray, degree: int) -> list[np.ndarray]:
     """He_0..He_Q elementwise via the probabilists' recurrence."""
@@ -93,10 +84,14 @@ def _channel_power_table(X: np.ndarray, degree: int, basis: str,
                          std: Optional[ChannelStandardization]) -> list[np.ndarray]:
     """Per-channel basis polynomials of degree 0..Q: entry e is an
     (n_channels, N) array whose row ch, contiguous in time, holds the degree-e
-    polynomial of channel ch.  Standardizing before the transpose keeps every
+    polynomial of channel ch.  A Hermite basis without a standardization
+    takes the raw channels.  Standardizing before the transpose keeps every
     value bit-identical to the (N, n_channels) layout."""
     if basis == HERMITE:
-        return _hermite_table(np.ascontiguousarray(std.apply(X).T), degree)
+        # No name holds the standardized (N, n_channels) copy, so it is freed
+        # before the table is built.
+        return _hermite_table(np.ascontiguousarray(
+            (X if std is None else std.apply(X)).T), degree)
     Xt = np.ascontiguousarray(X.T, dtype=float)
     table = [np.ones_like(Xt), Xt]
     for _ in range(2, degree + 1):
@@ -104,35 +99,16 @@ def _channel_power_table(X: np.ndarray, degree: int, basis: str,
     return table[: degree + 1]
 
 
-@dataclass
-class RegressionProblem:
-    """Regressor matrix and (optionally attached) target vector."""
-
-    psi: np.ndarray
-    indices: list[MultiIndex]
-    basis: str
-    standardization: Optional[ChannelStandardization] = None
-    y: Optional[np.ndarray] = None
-
-    def with_target(self, y) -> "RegressionProblem":
-        y = np.asarray(y, dtype=float)
-        if len(y) != self.psi.shape[0]:
-            raise InvalidSpecError("target length must match the regressor rows")
-        return RegressionProblem(self.psi, self.indices, self.basis,
-                                 self.standardization, y)
-
-
-def build_regressors(X: np.ndarray, degree: int, basis: str = MONOMIAL,
-                     standardization: Optional[ChannelStandardization] = None,
-                     y=None) -> RegressionProblem:
-    """Columns are products over channels of per-channel basis polynomials,
-    one column per multi-index."""
+def build_regressors(X: np.ndarray, degree: int, basis: str,
+                     standardization: Optional[ChannelStandardization] = None
+                     ) -> np.ndarray:
+    """The regressor matrix psi: one column per multi-index of
+    ``enumerate_multi_indices``, the product over channels of per-channel
+    basis polynomials."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if basis not in (MONOMIAL, HERMITE):
         raise InvalidSpecError(f"unknown basis {basis!r}")
     n, n_ch = X.shape
-    if basis == HERMITE and standardization is None:
-        standardization = ChannelStandardization.from_data(X)
     table = _channel_power_table(X, degree, basis, standardization)
     indices = enumerate_multi_indices(n_ch, degree)
     position = {expo: j for j, expo in enumerate(indices)}
@@ -147,9 +123,7 @@ def build_regressors(X: np.ndarray, degree: int, basis: str = MONOMIAL,
         ch = max(c for c, e in enumerate(expo) if e)
         parent = position[expo[:ch] + (0,) * (n_ch - ch)]
         np.multiply(psi[:, parent], table[expo[ch]][ch], out=psi[:, j])
-    prob = RegressionProblem(psi=psi, indices=indices, basis=basis,
-                             standardization=standardization)
-    return prob.with_target(y) if y is not None else prob
+    return psi
 
 
 def _cholesky_solve(psi: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
@@ -168,30 +142,30 @@ def _cholesky_solve(psi: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
     return None if info else beta
 
 
-def fit_ls(prob: RegressionProblem) -> np.ndarray:
-    """Least-squares coefficients.
+def fit_ls(psi: np.ndarray, y) -> np.ndarray:
+    """Least-squares coefficients beta minimizing ||y - psi beta||.
 
     Cholesky of the normal equations when psi is tall and well conditioned;
     otherwise SVD-based gelsd, whose rank deficiency yields the minimum-norm
     solution and a warning (the overparameterized regime is expected for
     rich banks on short records).  Neither path modifies psi or y.
     """
-    if prob.y is None:
-        raise InvalidSpecError("regression problem has no target attached")
-    if not np.all(np.isfinite(prob.psi)) or not np.all(np.isfinite(prob.y)):
+    y = np.asarray(y, dtype=float)
+    if len(y) != psi.shape[0]:
+        raise InvalidSpecError("target length must match the regressor rows")
+    if not np.all(np.isfinite(psi)) or not np.all(np.isfinite(y)):
         raise InvalidSpecError("regression data must be finite")
-    if prob.psi.shape[0] >= prob.psi.shape[1]:
-        beta = _cholesky_solve(prob.psi, prob.y)
+    if psi.shape[0] >= psi.shape[1]:
+        beta = _cholesky_solve(psi, y)
         if beta is not None:
             return beta
     # The finiteness check above is the only one: lstsq's own would scan psi
     # a second time.
-    beta, _, rank, _ = scipy.linalg.lstsq(prob.psi, prob.y,
-                                          lapack_driver="gelsd",
+    beta, _, rank, _ = scipy.linalg.lstsq(psi, y, lapack_driver="gelsd",
                                           check_finite=False)
-    if rank < prob.psi.shape[1]:
+    if rank < psi.shape[1]:
         warnings.warn(
-            f"rank-deficient regression ({rank}/{prob.psi.shape[1]}); "
+            f"rank-deficient regression ({rank}/{psi.shape[1]}); "
             "minimum-norm solution returned", RankDeficiencyWarning)
     return beta
 
@@ -279,18 +253,13 @@ class MultiPolyModel:
 
 def fit_poly_model(X: np.ndarray, y, degree: int,
                    basis: str = HERMITE) -> MultiPolyModel:
-    """Build regressors, solve, and assemble the model in one step."""
+    """Standardize (Hermite basis), build regressors, solve, and assemble
+    the model in one step."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    prob = build_regressors(X, degree, basis=basis, y=y)
-    beta = fit_ls(prob)
-    return MultiPolyModel(
-        n_channels=X.shape[1],
-        degree=degree,
-        basis=basis,
-        coefficients=beta,
-        standardization=prob.standardization,
-        indices=prob.indices,
-    )
+    std = ChannelStandardization.from_data(X) if basis == HERMITE else None
+    beta = fit_ls(build_regressors(X, degree, basis, std), y)
+    return MultiPolyModel(n_channels=X.shape[1], degree=degree, basis=basis,
+                          coefficients=beta, standardization=std)
 
 
 def evaluate(model: MultiPolyModel, X: np.ndarray) -> np.ndarray:
@@ -303,10 +272,8 @@ def evaluate(model: MultiPolyModel, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != model.n_channels:
         raise InvalidSpecError(
             f"model expects {model.n_channels} channels, got {X.shape[1]}")
-    std = model.standardization
-    if model.basis == HERMITE and std is None:
-        std = ChannelStandardization.identity(model.n_channels)
-    table = _channel_power_table(X, model.degree, model.basis, std)
+    table = _channel_power_table(X, model.degree, model.basis,
+                                 model.standardization)
     out = np.zeros(X.shape[0])
     col = np.empty(X.shape[0])
     for expo, coef in zip(model.indices, model.coefficients):

@@ -37,14 +37,6 @@ class RationalTF:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a", a)
 
-    @property
-    def n_b(self) -> int:
-        return len(self.b) - 1
-
-    @property
-    def n_a(self) -> int:
-        return len(self.a) - 1
-
     def is_stable(self) -> bool:
         return bool(np.all(np.abs(poles(self)) < 1.0))
 

@@ -97,10 +97,10 @@ class SignalRecord:
                 raise InvalidSpecError(
                     f"a periodic record needs a positive integer period_samples, "
                     f"not {p!r}")
-            if len(self.samples) % p != 0:
+            if len(self.samples) == 0 or len(self.samples) % p != 0:
                 raise InvalidSpecError(
-                    "periodic record length must be a whole number of periods"
-                )
+                    "periodic record length must be a whole number of periods, "
+                    "at least one")
 
     def __len__(self) -> int:
         return len(self.samples)

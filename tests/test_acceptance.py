@@ -388,12 +388,11 @@ def test_criterion_9_property_suite():
     model = fit_poly_model(X, y.samples, degree=3, basis=HERMITE)
     from wiener_gobf.polymodel import build_regressors
 
-    prob = build_regressors(X, 3, basis=HERMITE,
-                            standardization=model.standardization)
-    resid = y.samples - prob.psi @ model.coefficients
-    col_norms = np.linalg.norm(prob.psi, axis=0)
+    psi = build_regressors(X, 3, HERMITE, model.standardization)
+    resid = y.samples - psi @ model.coefficients
+    col_norms = np.linalg.norm(psi, axis=0)
     checks["LS residual orthogonality"] = bool(
-        np.max(np.abs(prob.psi.T @ resid) / (col_norms * np.linalg.norm(y.samples)))
+        np.max(np.abs(psi.T @ resid) / (col_norms * np.linalg.norm(y.samples)))
         < 1e-8)
 
     m_mono = fit_poly_model(X, y.samples, degree=3, basis=MONOMIAL)

@@ -83,7 +83,7 @@ class TestEstimateFrf:
         four = SignalRecord(np.tile(one.samples, 4), periodic=True,
                             period_samples=256)
         y = filter_time(EX1, four)
-        frf = estimate_frf(four, y, n_periods=4)
+        frf = estimate_frf(four, y)
         np.testing.assert_allclose(frf.frf, freq_response(EX1, frf.omegas),
                                    rtol=1e-9)
 

@@ -402,6 +402,9 @@ MALFORMED_INPUT_CASES = {
         "standardization"),
     "predict-float-n_rep": (
         ["predict", "--model", "{bank_n_rep_float}", "--u", "{u}"], 2, "n_rep"),
+    "predict-pole-without-conjugate": (
+        ["predict", "--model", "{bank_lone_pole}", "--u", "{u}"], 2,
+        "conjugate"),
     "identify-empty-json-signal": (
         ["identify", "--config", "{identify}", "--u", "{empty_json}", "--y",
          "{empty_json}"], 2, "empty.json"),
@@ -507,6 +510,8 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
                 standardization={"mean": ["0.5"], "scale": [1.0]}),
             "bank_n_rep_float": dict(static_model(),
                                      bank={"base_poles": [], "n_rep": 1.9}),
+            "bank_lone_pole": dict(static_model(), bank={
+                "base_poles": [[0.5, 0.3]], "n_rep": 1}),
     }.items():
         files[key] = write_json(tmp_path / f"{key}.json", model)
     argv = [arg.format(**files) for arg in template] + ["--out-dir", str(out)]

@@ -258,9 +258,8 @@ class TestStudyConfigJson:
             kind=POLE_RATE, system=example2_system(noise_variance=0.04,
                                                    noise_seed=8),
             n_trials=7, base_seed=5, n_freqs_grid=(100, 200), n_rep_set=(0, 2),
-            n_a=2, n_b=1, degree=2, basis="monomial", period_per_freq=4,
-            input_rms=0.5, validation_n_freqs=200, n_samples=500,
-            input_variance=2.0, welch_segment=None)
+            n_a=2, n_b=1, degree=2, basis="monomial", validation_n_freqs=200,
+            n_samples=500, welch_segment=None)
         default = StudyConfig(kind=NOISE, system=example1_system(), n_trials=1)
         for f in fields(StudyConfig):
             if f.name != "system":
@@ -278,6 +277,21 @@ class TestStudyConfigJson:
         with pytest.raises(InvalidSpecError, match="n_trails"):
             StudyConfig.from_json_dict(doc)
 
+    @pytest.mark.parametrize("key", ["period_per_freq", "input_rms",
+                                     "input_variance"])
+    def test_fixed_protocol_settings_are_unknown_keys(self, key):
+        """The Example-1 multisines and the Example-2 inputs have one shape
+        each; a config that tries to set it is rejected by the key's name."""
+        doc = dict(tiny_convergence_config().to_json_dict(), **{key: 1})
+        with pytest.raises(InvalidSpecError, match=key):
+            StudyConfig.from_json_dict(doc)
+
+    def test_n_periods_is_an_unknown_identify_key(self):
+        """The periodic FRF always averages every whole period."""
+        with pytest.raises(InvalidSpecError, match="n_periods"):
+            IdentifyConfig.from_json_dict(
+                {"n_a": 1, "n_b": 1, "n_rep": 1, "degree": 1, "n_periods": 2})
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -288,8 +302,7 @@ JSON_VALUES = st.recursive(
 # Each config document type: its loader and one valid document.
 CONFIG_DOCUMENTS = {
     "identify": (IdentifyConfig.from_json_dict, IdentifyConfig(
-        n_a=2, n_b=2, n_rep=1, degree=3, n_periods=2,
-        welch_segment=64).to_json_dict()),
+        n_a=2, n_b=2, n_rep=1, degree=3, welch_segment=64).to_json_dict()),
     "study": (StudyConfig.from_json_dict,
               tiny_convergence_config(system=example2_system()).to_json_dict()),
     "multisine": (MultisineSpec.from_json_dict,

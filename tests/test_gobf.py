@@ -50,6 +50,10 @@ class TestBuildBank:
         with pytest.raises(UnstableFilterError, match="stabilize"):
             build_bank(np.array([1.1 + 0.0j]), n_rep=1)
 
+    def test_complex_pole_without_conjugate_rejected(self):
+        with pytest.raises(InvalidSpecError, match="conjugate"):
+            build_bank(np.array([0.5 + 0.3j]), 1)
+
     def test_ordering_is_canonical_regardless_of_input_order(self):
         p = EX1_POLES
         for perm in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):

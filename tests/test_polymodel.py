@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,17 +13,16 @@ from wiener_gobf.gobf import build_bank, bank_outputs
 from wiener_gobf.polymodel import (
     HERMITE,
     MONOMIAL,
+    ChannelStandardization,
     MultiPolyModel,
-    RegressionProblem,
     build_regressors,
     enumerate_multi_indices,
     evaluate,
     fit_ls,
     fit_poly_model,
-    n_coefficients,
 )
-from wiener_gobf.ratfun import RationalTF, filter_time, poles
-from wiener_gobf.signals import MultisineSpec, generate_multisine
+from wiener_gobf.ratfun import PERIODIC, ZERO_INITIAL, RationalTF, filter_time, poles
+from wiener_gobf.signals import MultisineSpec, generate_gaussian, generate_multisine
 
 EX1 = RationalTF(b=np.array([1.0, 3.0, 3.0, 1.0]),
                  a=np.array([1.0, -2.1, 1.9, -0.7]))
@@ -31,6 +31,17 @@ EX1 = RationalTF(b=np.array([1.0, 3.0, 3.0, 1.0]),
 def example1_channels(n_rep=1, n=1020, nf=170, seed=1):
     u = generate_multisine(MultisineSpec(n_samples=n, n_freqs=nf, seed=seed))
     return bank_outputs(build_bank(poles(EX1), n_rep), u)
+
+
+def hard_trial_record():
+    """Default convergence trial 13 of the benchmark at N_F = 341 (N = 2046):
+    its record (u, y) and its stabilized BLA poles."""
+    cfg = experiments.StudyConfig(kind=experiments.CONVERGENCE,
+                                  system=experiments.example1_system(),
+                                  n_trials=1, base_seed=1_000_013)
+    u, y = experiments._periodic_trial_data(cfg, 0, 341)
+    pole_set, _ = pipeline.estimate_bla_poles(u, y, cfg.identify_config(n_rep=3))
+    return u, y, pole_set
 
 
 class TestMultiIndices:
@@ -43,34 +54,40 @@ class TestMultiIndices:
 
     def test_stars_and_bars_count(self):
         assert len(enumerate_multi_indices(4, 3)) == 35
-        assert n_coefficients(4, 3) == 35
 
     def test_counts_match_binomial_identity(self):
         for n_ch in (1, 2, 5):
             for q in (0, 1, 4):
-                assert len(enumerate_multi_indices(n_ch, q)) == n_coefficients(n_ch, q)
+                assert len(enumerate_multi_indices(n_ch, q)) == math.comb(n_ch + q, q)
 
 
 class TestRegressors:
     def test_single_channel_monomials(self):
         x = np.array([[1.0], [2.0], [3.0]])
-        prob = build_regressors(x, 3, basis=MONOMIAL)
+        psi = build_regressors(x, 3, MONOMIAL)
         expected = np.column_stack([np.ones(3), x[:, 0], x[:, 0] ** 2, x[:, 0] ** 3])
-        np.testing.assert_allclose(prob.psi, expected)
+        np.testing.assert_allclose(psi, expected)
 
     def test_hermite_columns_nearly_uncorrelated_on_gaussian_data(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((10_000, 1)) * 3.0 + 1.0
-        prob = build_regressors(x, 3, basis=HERMITE)
-        he1, he2 = prob.psi[:, 1], prob.psi[:, 2]
+        psi = build_regressors(x, 3, HERMITE, ChannelStandardization.from_data(x))
+        he1, he2 = psi[:, 1], psi[:, 2]
         corr = np.corrcoef(he1, he2)[0, 1]
         assert abs(corr) < 0.05
+
+    def test_hermite_without_standardization_takes_raw_channels(self):
+        x = np.array([[-1.5], [0.0], [2.0]])
+        np.testing.assert_array_equal(
+            build_regressors(x, 3, HERMITE),
+            np.column_stack([np.ones(3), x[:, 0], x[:, 0] ** 2 - 1,
+                             x[:, 0] ** 3 - 3 * x[:, 0]]))
 
     def test_monomial_and_hermite_span_coincide(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((200, 2))
-        mono = build_regressors(x, 3, basis=MONOMIAL).psi
-        herm = build_regressors(x, 3, basis=HERMITE).psi
+        mono = build_regressors(x, 3, MONOMIAL)
+        herm = build_regressors(x, 3, HERMITE, ChannelStandardization.from_data(x))
         # each monomial column projects exactly onto the hermite columns
         coef, *_ = np.linalg.lstsq(herm, mono, rcond=None)
         resid = mono - herm @ coef
@@ -79,8 +96,9 @@ class TestRegressors:
     def test_zero_variance_channel_warns_and_uses_unit_scale(self):
         x = np.column_stack([np.ones(50), np.linspace(-1, 1, 50)])
         with pytest.warns(RankDeficiencyWarning):
-            prob = build_regressors(x, 2, basis=HERMITE)
-        assert np.all(np.isfinite(prob.psi))
+            std = ChannelStandardization.from_data(x)
+        assert np.array_equal(std.scale[:1], [1.0])
+        assert np.all(np.isfinite(build_regressors(x, 2, HERMITE, std)))
 
 
 def channel_poly(x, e, basis):
@@ -134,18 +152,16 @@ class TestExactLayout:
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((40, n_ch)) * rng.uniform(0.1, 5.0, n_ch) \
             + rng.uniform(-2.0, 2.0, n_ch)
-        prob = build_regressors(X, degree, basis=basis)
-        assert prob.psi.flags.f_contiguous
-        assert np.array_equal(
-            prob.psi,
-            reference_columns(X, prob.indices, basis, prob.standardization))
+        std = ChannelStandardization.from_data(X) if basis == HERMITE else None
+        indices = enumerate_multi_indices(n_ch, degree)
+        psi = build_regressors(X, degree, basis, std)
+        assert psi.flags.f_contiguous
+        assert np.array_equal(psi, reference_columns(X, indices, basis, std))
 
-        beta = rng.standard_normal(len(prob.indices))
+        beta = rng.standard_normal(len(indices))
         beta[rng.random(len(beta)) < 0.2] = 0.0
         model = MultiPolyModel(n_channels=n_ch, degree=degree, basis=basis,
-                               coefficients=beta,
-                               standardization=prob.standardization,
-                               indices=prob.indices)
+                               coefficients=beta, standardization=std)
         X2 = rng.standard_normal((30, n_ch))
         assert np.array_equal(evaluate(model, X2), reference_evaluate(model, X2))
 
@@ -155,42 +171,47 @@ class TestFitLs:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_data_rejected(self, where, bad):
         x = np.linspace(-1.0, 1.0, 20)[:, None]
-        prob = build_regressors(x, 2, basis=MONOMIAL, y=x[:, 0] ** 2)
-        getattr(prob, where)[3] = bad
+        data = {"psi": build_regressors(x, 2, MONOMIAL), "y": x[:, 0] ** 2}
+        data[where][3] = bad
         with pytest.raises(InvalidSpecError, match="finite"):
-            fit_ls(prob)
+            fit_ls(data["psi"], data["y"])
+
+    def test_target_length_must_match_rows(self):
+        psi = build_regressors(np.linspace(-1.0, 1.0, 20)[:, None], 2, MONOMIAL)
+        with pytest.raises(InvalidSpecError, match="target length"):
+            fit_ls(psi, np.ones(19))
 
     def test_exact_interpolation(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((400, 3))
-        prob = build_regressors(x, 2, basis=MONOMIAL)
-        beta_true = rng.standard_normal(prob.psi.shape[1])
-        beta = fit_ls(prob.with_target(prob.psi @ beta_true))
+        psi = build_regressors(x, 2, MONOMIAL)
+        beta_true = rng.standard_normal(psi.shape[1])
+        beta = fit_ls(psi, psi @ beta_true)
         np.testing.assert_allclose(beta, beta_true, atol=1e-10)
 
     def test_orthogonal_residual_leaves_coefficients_unchanged(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((300, 2))
-        prob = build_regressors(x, 2, basis=MONOMIAL)
-        beta_true = rng.standard_normal(prob.psi.shape[1])
-        y0 = prob.psi @ beta_true
+        psi = build_regressors(x, 2, MONOMIAL)
+        beta_true = rng.standard_normal(psi.shape[1])
+        y0 = psi @ beta_true
         noise = rng.standard_normal(300)
         # orthogonalize the noise against the regressor columns
-        proj, *_ = np.linalg.lstsq(prob.psi, noise, rcond=None)
-        r = noise - prob.psi @ proj
-        beta = fit_ls(prob.with_target(y0 + r))
+        proj, *_ = np.linalg.lstsq(psi, noise, rcond=None)
+        r = noise - psi @ proj
+        beta = fit_ls(psi, y0 + r)
         np.testing.assert_allclose(beta, beta_true, atol=1e-8)
 
     def test_residual_orthogonal_to_columns(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((500, 2))
-        prob = build_regressors(x, 3, basis=HERMITE)
+        psi = build_regressors(x, 3, HERMITE, ChannelStandardization.from_data(x))
         y = rng.standard_normal(500)
-        beta = fit_ls(prob.with_target(y))
-        resid = y - prob.psi @ beta
-        dots = prob.psi.T @ resid
+        beta = fit_ls(psi, y)
+        resid = y - psi @ beta
+        dots = psi.T @ resid
         assert np.max(np.abs(dots)) < 1e-8 * np.linalg.norm(y) * \
-            np.max(np.linalg.norm(prob.psi, axis=0))
+            np.max(np.linalg.norm(psi, axis=0))
 
     def test_recovers_example1_nonlinearity_on_true_intermediate(self):
         """Cubic fit on the true intermediate signal returns the generator
@@ -198,84 +219,105 @@ class TestFitLs:
         u = generate_multisine(MultisineSpec(n_samples=1020, n_freqs=170, seed=5))
         x = filter_time(EX1, u).samples
         y = x + 0.8 * x**2 + 0.7 * x**3
-        prob = build_regressors(x[:, None], 3, basis=MONOMIAL, y=y)
-        beta = fit_ls(prob)
+        beta = fit_ls(build_regressors(x[:, None], 3, MONOMIAL), y)
         np.testing.assert_allclose(beta, [0.0, 1.0, 0.8, 0.7], atol=1e-10)
 
     def test_rank_deficiency_warns_and_returns_min_norm(self):
         x = np.linspace(-1, 1, 100)
         psi = np.column_stack([x, x])  # duplicated column
-        prob = build_regressors(x[:, None], 1, basis=MONOMIAL)
-        prob.psi = psi
-        prob.indices = [(1,), (1,)]
         with pytest.warns(RankDeficiencyWarning):
-            beta = fit_ls(prob.with_target(2.0 * x))
+            beta = fit_ls(psi, 2.0 * x)
         np.testing.assert_allclose(beta, [1.0, 1.0], atol=1e-10)
 
     @staticmethod
     def random_problem(n, singular_values, seed=7):
-        """psi = U diag(s) V^T in Fortran order, with a random target."""
+        """psi = U diag(s) V^T in Fortran order, and a random target."""
         rng = np.random.default_rng(seed)
         m = len(singular_values)
         u, _ = np.linalg.qr(rng.standard_normal((n, m)))
         v, _ = np.linalg.qr(rng.standard_normal((m, m)))
-        psi = np.asfortranarray(u * singular_values @ v.T)
-        return RegressionProblem(psi, [(j,) for j in range(m)], MONOMIAL,
-                                 y=rng.standard_normal(n))
+        return np.asfortranarray(u * singular_values @ v.T), rng.standard_normal(n)
 
     @staticmethod
-    def gelsd(prob):
-        return scipy.linalg.lstsq(prob.psi, prob.y, lapack_driver="gelsd")[0]
+    def gelsd(psi, y):
+        return scipy.linalg.lstsq(psi, y, lapack_driver="gelsd")[0]
 
     def test_well_conditioned_matches_gelsd_without_calling_it(self, monkeypatch):
-        prob = self.random_problem(400, np.linspace(1.0, 0.1, 20))
-        expected = self.gelsd(prob)
+        psi, y = self.random_problem(400, np.linspace(1.0, 0.1, 20))
+        expected = self.gelsd(psi, y)
         monkeypatch.setattr(scipy.linalg, "lstsq", None)  # Cholesky path only
-        beta = fit_ls(prob)
+        beta = fit_ls(psi, y)
         np.testing.assert_allclose(beta, expected, rtol=1e-10, atol=0)
 
     def test_ill_conditioned_falls_back_to_gelsd_exactly(self):
-        prob = self.random_problem(400, np.logspace(0, -6, 20))
-        assert np.array_equal(fit_ls(prob), self.gelsd(prob))
+        psi, y = self.random_problem(400, np.logspace(0, -6, 20))
+        assert np.array_equal(fit_ls(psi, y), self.gelsd(psi, y))
 
     def test_wide_problem_returns_min_norm_and_warns(self):
-        prob = self.random_problem(8, np.ones(8))
-        prob.psi = np.asfortranarray(np.hstack([prob.psi, prob.psi[:, :4]]))
-        prob.indices = [(j,) for j in range(12)]
+        psi, y = self.random_problem(8, np.ones(8))
+        psi = np.asfortranarray(np.hstack([psi, psi[:, :4]]))
         with pytest.warns(RankDeficiencyWarning):
-            beta = fit_ls(prob)
-        np.testing.assert_allclose(beta, np.linalg.pinv(prob.psi) @ prob.y,
-                                   atol=1e-10)
+            beta = fit_ls(psi, y)
+        np.testing.assert_allclose(beta, np.linalg.pinv(psi) @ y, atol=1e-10)
 
     @pytest.mark.parametrize("smallest", [0.1, 1e-6], ids=["cholesky", "gelsd"])
     def test_inputs_unchanged(self, smallest):
-        prob = self.random_problem(300, np.linspace(1.0, smallest, 15))
-        psi, y = prob.psi.copy(), prob.y.copy()
-        fit_ls(prob)
-        assert np.array_equal(prob.psi, psi) and np.array_equal(prob.y, y)
+        psi, y = self.random_problem(300, np.linspace(1.0, smallest, 15))
+        psi0, y0 = psi.copy(), y.copy()
+        fit_ls(psi, y)
+        assert np.array_equal(psi, psi0) and np.array_equal(y, y0)
 
     def test_benchmark_hard_case_stays_on_gelsd(self):
         """Default convergence trial 13 of the benchmark at N_F = 341,
         n_rep = 3: cond(psi) is about 7.7e4, so the guard must send it to
         gelsd and reproduce gelsd's coefficients bit for bit."""
-        cfg = experiments.StudyConfig(kind=experiments.CONVERGENCE,
-                                      system=experiments.example1_system(),
-                                      n_trials=1, base_seed=1_000_013)
-        u, y = experiments._periodic_trial_data(cfg, 0, 341)
-        icfg = cfg.identify_config(n_rep=3)
-        pole_set, _ = pipeline.estimate_bla_poles(u, y, icfg)
-        X = bank_outputs(build_bank(pole_set, 3), u, mode=icfg.filtering)
-        prob = build_regressors(X, 3, basis=HERMITE, y=y.samples)
-        assert np.array_equal(fit_ls(prob), self.gelsd(prob))
+        u, y, pole_set = hard_trial_record()
+        X = bank_outputs(build_bank(pole_set, 3), u, mode=PERIODIC)
+        psi = build_regressors(X, 3, HERMITE, ChannelStandardization.from_data(X))
+        assert np.array_equal(fit_ls(psi, y.samples), self.gelsd(psi, y.samples))
 
     def test_scale_equivariance_in_target(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((200, 2))
-        prob = build_regressors(x, 2, basis=HERMITE)
+        psi = build_regressors(x, 2, HERMITE, ChannelStandardization.from_data(x))
         y = rng.standard_normal(200)
-        b1 = fit_ls(prob.with_target(y))
-        b2 = fit_ls(prob.with_target(3.5 * y))
+        b1 = fit_ls(psi, y)
+        b2 = fit_ls(psi, 3.5 * y)
         np.testing.assert_allclose(b2, 3.5 * b1, rtol=1e-10)
+
+
+class TestNestedModels:
+    """Models with n_rep = 1, 2 on the record of an n_rep = 3 model are exact
+    sub-problems of it: their bank outputs, standardizations and Hermite
+    regressors are column subsets of the n_rep = 3 ones, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        u, _, pole_set = hard_trial_record()
+        gauss = generate_gaussian(len(u), seed=11)
+        return pole_set, {PERIODIC: u, ZERO_INITIAL: gauss}
+
+    @pytest.mark.parametrize("mode", [PERIODIC, ZERO_INITIAL])
+    @pytest.mark.parametrize("n_rep", [1, 2])
+    def test_column_subsets_of_the_largest_model(self, records, mode, n_rep):
+        pole_set, inputs = records
+        u = inputs[mode]
+        X3 = bank_outputs(build_bank(pole_set, 3), u, mode=mode)
+        X = bank_outputs(build_bank(pole_set, n_rep), u, mode=mode)
+        n_ch, n_ch3 = X.shape[1], X3.shape[1]
+        assert np.array_equal(X, X3[:, :n_ch])
+
+        std3 = ChannelStandardization.from_data(X3)
+        std = ChannelStandardization.from_data(X)
+        assert np.array_equal(std.mean, std3.mean[:n_ch])
+        assert np.array_equal(std.scale, std3.scale[:n_ch])
+
+        position3 = {expo: j for j, expo in
+                     enumerate(enumerate_multi_indices(n_ch3, 3))}
+        columns = [position3[expo + (0,) * (n_ch3 - n_ch)]
+                   for expo in enumerate_multi_indices(n_ch, 3)]
+        assert np.array_equal(build_regressors(X, 3, HERMITE, std),
+                              build_regressors(X3, 3, HERMITE, std3)[:, columns])
 
 
 class TestModel:
@@ -304,8 +346,9 @@ class TestModel:
 
     def test_hermite_conditioning_no_worse_than_monomial(self):
         X = example1_channels(n_rep=2)
-        cond_mono = np.linalg.cond(build_regressors(X, 3, basis=MONOMIAL).psi)
-        cond_herm = np.linalg.cond(build_regressors(X, 3, basis=HERMITE).psi)
+        cond_mono = np.linalg.cond(build_regressors(X, 3, MONOMIAL))
+        cond_herm = np.linalg.cond(build_regressors(
+            X, 3, HERMITE, ChannelStandardization.from_data(X)))
         assert cond_herm <= 1.1 * cond_mono
 
     def test_channel_count_mismatch_rejected(self):
@@ -330,7 +373,6 @@ class TestModel:
         # evaluating on shifted data must reuse the stored standardization
         X2 = X + 5.0
         direct = evaluate(model, X2)
-        prob2 = build_regressors(X2, 2, basis=HERMITE,
-                                 standardization=model.standardization)
-        np.testing.assert_allclose(direct, prob2.psi @ model.coefficients,
+        psi2 = build_regressors(X2, 2, HERMITE, model.standardization)
+        np.testing.assert_allclose(direct, psi2 @ model.coefficients,
                                    rtol=1e-12)

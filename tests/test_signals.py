@@ -185,6 +185,11 @@ class TestSignalRecord:
         with pytest.raises(InvalidSpecError):
             SignalRecord(samples=np.zeros(10), periodic=True, period_samples=4)
 
+    @pytest.mark.parametrize("period", [None, 1, 4])
+    def test_empty_periodic_record_rejected(self, period):
+        with pytest.raises(InvalidSpecError):
+            SignalRecord(samples=np.empty(0), periodic=True, period_samples=period)
+
 
 class TestRngStreams:
     def test_streams_differ_by_role_tag(self):

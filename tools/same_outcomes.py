@@ -11,10 +11,15 @@ change meant to keep results bit-identical must pass.  Per pool it prints
 that count and, per metric, the largest deviation from the reference, both
 absolute and as a share of the tolerance ``Workload.check`` applies (the
 benchmark's own check; sup_error is divided by max|y_val| first), the
-margin a change that moves results at rounding level keeps.  It exits 1 if
+margin a change that moves results at rounding level keeps.  It also
+prints a digest per pool: the first 16 hex digits of the SHA-256 of the
+``repr`` of every op's outcome (or of the exception it raised), in trial
+order.  Equal digests from two checkouts show that they give equal
+outcomes, whether or not those equal the stored references.  It exits 1 if
 any op raises or fails ``Workload.check``.
 """
 
+import hashlib
 import os
 import sys
 
@@ -56,15 +61,18 @@ def check_pool(name: str, pool: str) -> bool:
     """Run every trial of one pool; print the summary; True when all pass
     the benchmark's check."""
     wl = workloads.setup(name, pool)
+    digest = hashlib.sha256()
     same, failures = 0, []
     dev, share = dict.fromkeys(METRICS, 0.0), dict.fromkeys(METRICS, 0.0)
     for i in range(wl.pool_size):
         try:
             result = wl.op(i)
         except Exception as exc:  # a raising op is a failed op, keep going
+            digest.update(f"{exc!r}\n".encode())
             failures.append(f"trial {i}: raised {exc!r}")
             continue
         outcome, ref = wl.outcome(result), wl.refs[i]
+        digest.update(f"{outcome!r}\n".encode())
         same += (not outcome["failed"]
                  and outcome["conditions"] == ref["conditions"])
         op_dev, op_share = max_deviation(outcome, ref)
@@ -77,7 +85,8 @@ def check_pool(name: str, pool: str) -> bool:
     print(f"{name}/{pool}: {same}/{wl.pool_size} ops == reference, "
           f"{len(failures)} fail the check; max |deviation| "
           + ", ".join(f"{m} {dev[m]:.3g} ({share[m]:.3g} of tolerance)"
-                      for m in METRICS), flush=True)
+                      for m in METRICS)
+          + f"; digest {digest.hexdigest()[:16]}", flush=True)
     for line in failures:
         print(f"  {line}", flush=True)
     return not failures
