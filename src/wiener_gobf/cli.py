@@ -27,7 +27,6 @@ from .errors import (
     json_kwargs,
 )
 from .pipeline import IdentifyConfig, WienerModel, WienerSystem
-from .ratfun import ZERO_INITIAL
 from .signals import (
     MultisineSpec,
     SignalRecord,
@@ -157,11 +156,10 @@ def cmd_simulate(args) -> int:
     if args.seed is not None and system.output_noise is not None:
         system = system.with_noise_seed(args.seed)
     u = _read_signal(args.input, args)
-    mode = ZERO_INITIAL if not u.periodic else args.mode
     out = _out_dir(args)
     name = name or "simulated"
 
-    x, y = pipeline.simulate(system, u, mode=mode)
+    x, y = pipeline.simulate(system, u)
 
     outputs = []
     y_path = os.path.join(out, f"{name}_y.csv")
@@ -277,7 +275,7 @@ def cmd_scatter(args) -> int:
     y = _read_signal(args.y, args)
     out = _out_dir(args)
     name = args.name or "scatter"
-    X = gobf.bank_outputs(model.bank, u, mode=model.filtering)
+    X = gobf.bank_outputs(model.bank, u)
     x_hat = pipeline.estimate_intermediate(model.bank, y, X)
     path = os.path.join(out, f"{name}.csv")
     with open(path, "w") as fh:
@@ -363,24 +361,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=False):
         p.add_argument("--out-dir", default=None,
                        help="output directory (default: $WIENER_GOBF_OUT_DIR or .)")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="seed override")
 
     p = sub.add_parser("generate", help="synthesize an excitation signal")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("simulate", help="run a Wiener system on an input file")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--config", required=True, help="system config JSON")
     p.add_argument("--input", required=True, help="input signal (.csv or .json)")
     p.add_argument("--period", type=int, default=None,
-                   help="mark a CSV input as periodic with this period")
-    p.add_argument("--mode", default="periodic-steady-state",
-                   choices=["periodic-steady-state", "zero-initial"])
+                   help="mark a CSV input as periodic with this period "
+                        "(simulated in steady state, not from rest)")
     p.add_argument("--oracle", action="store_true",
                    help="also write the intermediate signal x")
     p.add_argument("--noise-off", action="store_true")
@@ -414,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scatter)
 
     p = sub.add_parser("study", help="run a Monte-Carlo study")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--config", required=True)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)

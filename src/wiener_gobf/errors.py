@@ -18,7 +18,7 @@ def json_kwargs(cls, doc, skip=(), localns=None) -> dict:
 
     Keys must name fields of ``cls`` not in ``skip``, fields without a default
     are required, and each value must match its field's annotation: int,
-    float (finite), str, bool, ``Optional``, ``Sequence[int]`` or
+    float (finite), str, bool, dict, ``Optional``, ``Sequence[int]`` or
     ``np.ndarray`` (arrays, passed on as tuples), or a class with a
     ``from_json_dict``.  Violations raise ``InvalidSpecError`` naming the key.
     ``localns`` resolves annotations the module of ``cls`` cannot import.

@@ -23,8 +23,6 @@ import numpy as np
 from . import polymodel
 from .errors import EstimationError, InvalidSpecError, json_kwargs
 from .pipeline import (
-    FRF_PERIODIC,
-    FRF_WELCH,
     IdentifyConfig,
     StaticNonlinearity,
     WienerSystem,
@@ -37,7 +35,7 @@ from .pipeline import (
     sup_error,
 )
 from .gobf import build_bank, transient_length
-from .ratfun import PERIODIC, ZERO_INITIAL, RationalTF, poles as tf_poles
+from .ratfun import RationalTF, poles as tf_poles
 from .signals import (
     MultisineSpec,
     derive_seed,
@@ -180,13 +178,10 @@ class StudyConfig:
         for n_rep in self.n_rep_set:
             self.identify_config(n_rep).validate()
 
-    def identify_config(self, n_rep: int, periodic: bool = True) -> IdentifyConfig:
+    def identify_config(self, n_rep: int) -> IdentifyConfig:
         return IdentifyConfig(
             n_a=self.n_a, n_b=self.n_b, n_rep=n_rep, degree=self.degree,
-            basis=self.basis,
-            filtering=PERIODIC if periodic else ZERO_INITIAL,
-            frf=FRF_PERIODIC if periodic else FRF_WELCH,
-            welch_segment=self.welch_segment,
+            basis=self.basis, welch_segment=self.welch_segment,
         )
 
     def to_json_dict(self) -> dict:
@@ -451,7 +446,7 @@ def _convergence_validation(cfg: StudyConfig):
     """Fixed validation multisine + noiseless response, shared by all trials."""
     u_val = generate_multisine(example1_multisine_spec(
         cfg.validation_n_freqs, seed=derive_seed(cfg.base_seed, "validation")))
-    _, y_val = simulate(cfg.system, u_val, mode=PERIODIC, include_noise=False)
+    _, y_val = simulate(cfg.system, u_val, include_noise=False)
     return u_val, y_val
 
 
@@ -462,7 +457,7 @@ def _periodic_trial_data(cfg: StudyConfig, trial: int, nf: int):
         nf, seed=derive_seed(cfg.base_seed, "trial", trial, "nf", nf)))
     system = cfg.system.with_noise_seed(
         derive_seed(cfg.base_seed, "trial", trial, "noise", nf))
-    _, y = simulate(system, u, mode=PERIODIC)
+    _, y = simulate(system, u)
     return u, y
 
 
@@ -474,7 +469,7 @@ def _convergence_trial(cfg: StudyConfig, trial: int, validation) -> list:
     records = []
     for nf in cfg.n_freqs_grid:
         u, y = _periodic_trial_data(cfg, trial, nf)
-        icfg = cfg.identify_config(n_rep=max(cfg.n_rep_set), periodic=True)
+        icfg = cfg.identify_config(n_rep=max(cfg.n_rep_set))
         try:
             pole_set, fit = estimate_bla_poles(u, y, icfg)
             pole_error = min_max_pole_distance(fit.poles, truth)
@@ -488,9 +483,7 @@ def _convergence_trial(cfg: StudyConfig, trial: int, validation) -> list:
         for n_rep in cfg.n_rep_set:
             try:
                 bank = build_bank(pole_set, n_rep)
-                model = _assemble(u, y, bank,
-                                  cfg.identify_config(n_rep=n_rep, periodic=True),
-                                  fit)
+                model = _assemble(u, y, bank, cfg.identify_config(n_rep), fit)
                 yhat = predict(model, u_val)
                 records.append(TrialRecord(
                     cfg.kind, trial, n_freqs=nf, n_rep=n_rep,
@@ -511,7 +504,7 @@ def _pole_rate_trial(cfg: StudyConfig, trial: int, validation) -> list:
     for nf in cfg.n_freqs_grid:
         u, y = _periodic_trial_data(cfg, trial, nf)
         try:
-            _, fit = estimate_bla_poles(u, y, cfg.identify_config(1, periodic=True))
+            _, fit = estimate_bla_poles(u, y, cfg.identify_config(1))
             records.append(TrialRecord(
                 cfg.kind, trial, n_freqs=nf,
                 pole_error=min_max_pole_distance(fit.poles, truth)))
@@ -534,9 +527,9 @@ def _noise_trial(cfg: StudyConfig, trial: int, validation) -> list:
     sys_val = cfg.system.with_noise_seed(
         derive_seed(cfg.base_seed, "trial", trial, "e-val"))
 
-    _, y_est = simulate(sys_est, u_est, mode=ZERO_INITIAL)
-    _, y_val = simulate(sys_val, u_val, mode=ZERO_INITIAL)
-    _, y_val_clean = simulate(sys_val, u_val, mode=ZERO_INITIAL, include_noise=False)
+    _, y_est = simulate(sys_est, u_est)
+    _, y_val = simulate(sys_val, u_val)
+    _, y_val_clean = simulate(sys_val, u_val, include_noise=False)
 
     variance = cfg.system.output_noise.variance if cfg.system.output_noise else 0.0
     floor = float(np.sqrt(variance) / rms(y_val_clean.samples)) \
@@ -545,7 +538,7 @@ def _noise_trial(cfg: StudyConfig, trial: int, validation) -> list:
     records = []
     scores = {}
     for n_rep in cfg.n_rep_set:
-        icfg = cfg.identify_config(n_rep=n_rep, periodic=False)
+        icfg = cfg.identify_config(n_rep=n_rep)
         try:
             model = identify(u_est, y_est, icfg)
             yhat = predict(model, u_val)

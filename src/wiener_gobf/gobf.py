@@ -20,7 +20,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import IllConditionedBasisWarning, InvalidSpecError, UnstableFilterError
-from .ratfun import PERIODIC, ZERO_INITIAL, RationalTF, freq_response
+from .ratfun import RationalTF, freq_response
 from .signals import SignalRecord, dft
 
 _REAL_POLE_TOL = 1e-12
@@ -133,7 +133,7 @@ def build_bank(poles: np.ndarray, n_rep: int) -> GobfBank:
 
 
 def transient_length(bank: GobfBank, n: int) -> int:
-    """Rows to drop so zero-initial bank outputs have settled (1e-8 decay,
+    """Rows to drop so from-rest bank outputs have settled (1e-8 decay,
     capped at a quarter of the record)."""
     if bank.n_dynamic == 0:
         return 0
@@ -212,13 +212,12 @@ def bank_frequency_matrix(bank: GobfBank, omegas,
     return np.hstack([np.ones((len(z), 1), dtype=complex), raw])
 
 
-def bank_outputs(bank: GobfBank, u: SignalRecord,
-                 mode: str = PERIODIC) -> np.ndarray:
+def bank_outputs(bank: GobfBank, u: SignalRecord) -> np.ndarray:
     """Real N x n_outputs matrix of basis-filter outputs x_l = F_l u.
 
-    Periodic mode filters on the record's DFT grid (exact steady state) and
-    needs a periodic record; zero-initial mode runs the cascaded one-pole
-    recursions from rest, sharing the all-pass chain across basis functions.
+    A periodic record is filtered on its DFT grid (exact steady state); an
+    aperiodic record runs the cascaded one-pole recursions from rest,
+    sharing the all-pass chain across basis functions.
     """
     samples = u.samples
     n = len(samples)
@@ -230,22 +229,18 @@ def bank_outputs(bank: GobfBank, u: SignalRecord,
         # member of each conjugate pair stays zero.
         read = _read_columns(bank.pole_sequence)
         raw = np.zeros((n, bank.n_dynamic), dtype=complex)
-        if mode == PERIODIC:
-            if not u.periodic:
-                raise InvalidSpecError("periodic bank filtering needs a periodic input")
+        if u.periodic:
             z = np.exp(2j * np.pi * np.arange(n) / n)
             spectrum = dft(samples)
             fcols = _complex_columns(bank, z)[:, read]
             raw[:, read] = np.fft.ifft(fcols * spectrum[:, None], axis=0)
-        elif mode == ZERO_INITIAL:
+        else:
             chain = samples.astype(complex)
             for l, xi in enumerate(bank.pole_sequence):
                 if l in read:
                     gain = np.sqrt(1.0 - abs(xi) ** 2)
                     raw[:, l] = lfilter([0.0, gain], [1.0, -xi], chain)
                 chain = lfilter([-np.conj(xi), 1.0], [1.0, -xi], chain)
-        else:
-            raise InvalidSpecError(f"unknown filtering mode {mode!r}")
 
         raw_conj = np.conj(raw)  # time-domain conjugate equals the conj-coefficient output
         real_cols = _recombine_real(bank, raw, raw_conj)

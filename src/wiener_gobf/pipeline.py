@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bla, gobf, polymodel
 from .errors import EstimationError, InvalidSpecError, RankDeficiencyWarning, json_kwargs
-from .ratfun import PERIODIC, ZERO_INITIAL, RationalTF, filter_time
+from .ratfun import RationalTF, filter_time
 from .signals import NoiseSpec, SignalRecord, generate_noise
 
 POLYNOMIAL = "polynomial"
@@ -101,14 +101,14 @@ class _WienerSystemJson:
 
 
 def simulate(system: WienerSystem, u: SignalRecord,
-             mode: str = PERIODIC,
              include_noise: bool = True) -> tuple[SignalRecord, SignalRecord]:
-    """Return (x, y): x = G u in the chosen filtering mode, y = f(x) + v.
+    """Return (x, y): x = G u, in steady state for a periodic record and
+    from rest otherwise, and y = f(x) + v.
 
     The intermediate x is exposed for oracle checks only; identification
     never sees it.
     """
-    x = filter_time(system.g, u, mode=mode)
+    x = filter_time(system.g, u)
     y = system.f.apply(x.samples)
     if include_noise and system.output_noise is not None \
             and system.output_noise.variance > 0:
@@ -122,21 +122,18 @@ def simulate(system: WienerSystem, u: SignalRecord,
 # Identification
 # ---------------------------------------------------------------------------
 
-FRF_PERIODIC = "periodic"
-FRF_WELCH = "welch"
-
-
 @dataclass(frozen=True)
 class IdentifyConfig:
-    """Orders, repetition count, polynomial degree, and data handling."""
+    """Orders, repetition count, polynomial degree, regression basis and
+    the Welch segment length.  The estimation record decides the rest: a
+    periodic record gets the period-averaged FRF and steady-state bank
+    outputs, an aperiodic one the Welch FRF and bank outputs from rest."""
 
     n_a: int
     n_b: int
     n_rep: int
     degree: int
     basis: str = polymodel.HERMITE
-    filtering: str = PERIODIC
-    frf: str = FRF_PERIODIC
     welch_segment: Optional[int] = None
 
     def validate(self) -> None:
@@ -149,10 +146,6 @@ class IdentifyConfig:
                 raise InvalidSpecError(f"{key!r} must be >= 0")
         if self.welch_segment is not None and self.welch_segment < 1:
             raise InvalidSpecError("'welch_segment' must be >= 1 when set")
-        if self.filtering not in (PERIODIC, ZERO_INITIAL):
-            raise InvalidSpecError(f"unknown filtering mode {self.filtering!r}")
-        if self.frf not in (FRF_PERIODIC, FRF_WELCH):
-            raise InvalidSpecError(f"unknown frf method {self.frf!r}")
         if self.basis not in (polymodel.MONOMIAL, polymodel.HERMITE):
             raise InvalidSpecError(f"unknown basis {self.basis!r}")
 
@@ -175,12 +168,6 @@ class WienerModel:
     def __post_init__(self):
         if self.poly.n_channels != self.bank.n_outputs:
             raise InvalidSpecError("polynomial channel count must match the bank")
-
-    @property
-    def filtering(self) -> str:
-        """The bank filtering mode the model was fitted in; a model file
-        without provenance is taken as periodic-steady-state."""
-        return self.provenance.get("config", {}).get("filtering", PERIODIC)
 
     def to_json_dict(self) -> dict:
         return {"bank": self.bank.to_json_dict(),
@@ -210,7 +197,7 @@ def estimate_bla_poles(u: SignalRecord, y: SignalRecord,
                        cfg: IdentifyConfig) -> tuple[np.ndarray, bla.BlaFitResult]:
     """Steps 1a-1c: nonparametric FRF, rational fit, stabilized poles."""
     try:
-        if cfg.frf == FRF_PERIODIC:
+        if u.periodic:
             frf = bla.estimate_frf(u, y)
         else:
             frf = bla.estimate_frf_welch(u, y, segment_length=cfg.welch_segment)
@@ -226,11 +213,10 @@ def estimate_bla_poles(u: SignalRecord, y: SignalRecord,
 def _assemble(u: SignalRecord, y: SignalRecord, bank: gobf.GobfBank,
               cfg: IdentifyConfig, fit: Optional[bla.BlaFitResult]) -> WienerModel:
     try:
-        X = gobf.bank_outputs(bank, u, mode=cfg.filtering)
+        X = gobf.bank_outputs(bank, u)
     except Exception as exc:
         raise EstimationError("bank-outputs", str(exc)) from exc
-    discard = gobf.transient_length(bank, len(u.samples)) \
-        if cfg.filtering == ZERO_INITIAL else 0
+    discard = 0 if u.periodic else gobf.transient_length(bank, len(u.samples))
     try:
         poly = polymodel.fit_poly_model(X[discard:], y.samples[discard:],
                                         degree=cfg.degree, basis=cfg.basis)
@@ -239,6 +225,7 @@ def _assemble(u: SignalRecord, y: SignalRecord, bank: gobf.GobfBank,
 
     provenance = {
         "config": cfg.to_json_dict(),
+        "periodic": u.periodic,
         "transient_discarded": discard,
         "n_samples": len(u.samples),
     }
@@ -271,9 +258,9 @@ def identify(u: SignalRecord, y: SignalRecord, cfg: IdentifyConfig) -> WienerMod
 
 
 def predict(model: WienerModel, u: SignalRecord) -> SignalRecord:
-    """Simulate the identified model on a new input, filtering the bank in
-    the model's own mode."""
-    X = gobf.bank_outputs(model.bank, u, mode=model.filtering)
+    """Simulate the identified model on a new input; the bank is filtered
+    in steady state if ``u`` is periodic and from rest otherwise."""
+    X = gobf.bank_outputs(model.bank, u)
     yhat = polymodel.evaluate(model.poly, X)
     return SignalRecord(samples=yhat, periodic=u.periodic,
                         period_samples=u.period_samples)

@@ -1,7 +1,8 @@
 """Discrete-time rational transfer functions in powers of z^-1.
 
-Evaluation on the unit circle, periodic and zero-initial time-domain
-filtering, and root computation with exact conjugate closure.
+Evaluation on the unit circle, time-domain filtering (steady state for a
+periodic record, from rest otherwise), and root computation with exact
+conjugate closure.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ from scipy.signal import lfilter
 
 from .errors import InvalidSpecError, SingularityError, UnstableFilterError, json_kwargs
 from .signals import SignalRecord, dft, idft
-
-PERIODIC = "periodic-steady-state"
-ZERO_INITIAL = "zero-initial"
 
 _CONJ_TOL = 1e-8
 
@@ -46,10 +44,6 @@ class RationalTF:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RationalTF":
         return cls(**json_kwargs(cls, doc))
-
-    @classmethod
-    def identity(cls) -> "RationalTF":
-        return cls(b=np.array([1.0]), a=np.array([1.0]))
 
 
 def freq_response(tf: RationalTF, omegas) -> np.ndarray:
@@ -101,23 +95,18 @@ def poles(tf: RationalTF) -> np.ndarray:
     return _symmetrize_conjugates(np.roots(tf.a))
 
 
-def filter_time(tf: RationalTF, u: SignalRecord, mode: str = PERIODIC) -> SignalRecord:
+def filter_time(tf: RationalTF, u: SignalRecord) -> SignalRecord:
     """Apply the filter to a signal record.
 
-    Periodic mode computes Y(k) = H(w_k) U(k) on the record's own DFT grid
-    (exact steady state, requires a stable filter and a periodic input).
-    Zero-initial mode runs the direct-form recursion from rest.
+    A periodic record is filtered in exact steady state, Y(k) = H(w_k) U(k)
+    on its own DFT grid, which needs a stable filter; an aperiodic record
+    runs the direct-form recursion from rest.
     """
-    if mode == PERIODIC:
-        if not u.periodic:
-            raise InvalidSpecError("periodic-steady-state filtering needs a periodic input")
-        if not tf.is_stable():
-            raise UnstableFilterError("periodic-steady-state filtering needs a stable filter")
-        n = len(u.samples)
-        om = 2.0 * np.pi * np.arange(n) / n
-        y = idft(freq_response(tf, om) * dft(u.samples)).real
-        return SignalRecord(samples=y, periodic=True, period_samples=u.period_samples)
-    if mode == ZERO_INITIAL:
-        y = lfilter(tf.b, tf.a, u.samples)
-        return SignalRecord(samples=np.asarray(y, dtype=float))
-    raise InvalidSpecError(f"unknown filtering mode {mode!r}")
+    if not u.periodic:
+        return SignalRecord(samples=lfilter(tf.b, tf.a, u.samples))
+    if not tf.is_stable():
+        raise UnstableFilterError("periodic-steady-state filtering needs a stable filter")
+    n = len(u.samples)
+    om = 2.0 * np.pi * np.arange(n) / n
+    y = idft(freq_response(tf, om) * dft(u.samples)).real
+    return SignalRecord(samples=y, periodic=True, period_samples=u.period_samples)

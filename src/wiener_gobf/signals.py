@@ -141,11 +141,22 @@ class SignalRecord:
 
     @classmethod
     def from_json(cls, path) -> "SignalRecord":
+        """A record from ``to_json``: numeric samples, ``periodic`` a JSON
+        bool (absent means false); the ``generator`` key is not read."""
         with open(path) as fh:
-            doc = json.load(fh)
-        return cls(samples=np.array(doc["samples"], dtype=float),
-                   periodic=bool(doc.get("periodic", False)),
-                   period_samples=doc.get("period_samples"))
+            kw = json_kwargs(_SignalJson, json.load(fh))
+        kw.pop("generator", None)
+        return cls(**kw)
+
+
+@dataclass(frozen=True)
+class _SignalJson:
+    """Key names and types of the JSON form of a SignalRecord."""
+
+    samples: np.ndarray
+    periodic: bool = False
+    period_samples: Optional[int] = None
+    generator: Optional[dict] = None
 
 
 def load_signal(path) -> SignalRecord:

@@ -336,11 +336,10 @@ def test_criterion_8_saturation_shape():
     n = 16384
     system = example2_system(noise_variance=0.01, noise_seed=BASE_SEED + 6)
     u = generate_gaussian(n, 1.0, seed=BASE_SEED + 7)
-    _, y = simulate(system, u, mode="zero-initial")
-    model = identify(u, y, IdentifyConfig(
-        n_a=2, n_b=2, n_rep=1, degree=3, filtering="zero-initial",
-        frf="welch", welch_segment=1024))
-    X = bank_outputs(model.bank, u, mode="zero-initial")
+    _, y = simulate(system, u)
+    model = identify(u, y, IdentifyConfig(n_a=2, n_b=2, n_rep=1, degree=3,
+                                          welch_segment=1024))
+    X = bank_outputs(model.bank, u)
     x_hat = estimate_intermediate(model.bank, y, X)
 
     order = np.argsort(x_hat)

@@ -89,7 +89,7 @@ class TestEstimateFrf:
 
     def test_welch_estimate_tracks_response(self):
         u = generate_gaussian(16384, variance=1.0, seed=5)
-        y = filter_time(EX1, u, mode="zero-initial")
+        y = filter_time(EX1, u)
         frf = estimate_frf_welch(u, y, segment_length=512)
         expected = freq_response(EX1, frf.omegas)
         mid = slice(10, 200)

@@ -177,6 +177,27 @@ class TestIdentify:
         rel = np.linalg.norm(y - yhat) / np.linalg.norm(y)
         assert rel < 0.05
 
+    def test_aperiodic_record_identifies_with_welch_from_rest(self, tmp_path, out):
+        """A default config on a Gaussian CSV record: Welch FRF, bank outputs
+        from rest, the transient discarded; the model file says so."""
+        gen = write_json(tmp_path / "gen.json", {"kind": "gaussian",
+                                                 "n_samples": 2000, "seed": 4})
+        assert main(["generate", "--config", gen, "--out-dir", str(out)]) == 0
+        sys_cfg = write_json(tmp_path / "sys.json",
+                             {"preset": "example2_polynomial", "name": "ex2"})
+        assert main(["simulate", "--config", sys_cfg, "--input",
+                     str(out / "gaussian.csv"), "--out-dir", str(out)]) == 0
+        id_cfg = write_json(tmp_path / "id.json",
+                            {"n_a": 2, "n_b": 2, "n_rep": 1, "degree": 3,
+                             "welch_segment": 250, "name": "g"})
+        assert main(["identify", "--config", id_cfg,
+                     "--u", str(out / "gaussian.csv"),
+                     "--y", str(out / "ex2_y.csv"), "--out-dir", str(out)]) == 0
+        provenance = json.loads((out / "g.json").read_text())["provenance"]
+        assert provenance["periodic"] is False
+        assert provenance["transient_discarded"] > 0
+        assert "filtering" not in provenance["config"]
+
     def test_mismatched_lengths_exit_2(self, tmp_path, out):
         u_path = gen_multisine(tmp_path, out, name="u", n=256, nf=32)
         y_short = out / "short.csv"
@@ -224,18 +245,23 @@ class TestScatter:
 
     def test_predict_and_scatter_agree_on_a_model_without_provenance(
             self, tmp_path, out):
-        """Both filter the bank in the model's own mode, periodic-steady-state
-        when the file has no provenance, so a CSV input needs --period."""
-        self.identify_model(tmp_path, out, n=256, nf=32)
+        """Both filter the bank the way the input record says, whatever the
+        model file holds: a CSV input is filtered from rest, and in steady
+        state when --period marks it periodic."""
+        u_json = self.identify_model(tmp_path, out, n=256, nf=32)
         doc = json.loads((out / "m.json").read_text())
         del doc["provenance"]
         model = write_json(tmp_path / "bare.json", doc)
         u_csv, y_csv = str(out / "u.csv"), str(out / "ex1_y.csv")
-        for period, code in (([], 2), (["--period", "256"], 0)):
+        for period in ([], ["--period", "256"]):
             assert main(["predict", "--model", model, "--u", u_csv,
-                         "--out-dir", str(out), *period]) == code
+                         "--out-dir", str(out), *period]) == 0
             assert main(["scatter", "--model", model, "--u", u_csv,
-                         "--y", y_csv, "--out-dir", str(out), *period]) == code
+                         "--y", y_csv, "--out-dir", str(out), *period]) == 0
+        steady = read_csv_values(out / "prediction.csv")
+        assert main(["predict", "--model", model, "--u", str(u_json),
+                     "--out-dir", str(out), "--name", "from_json"]) == 0
+        assert np.array_equal(steady, read_csv_values(out / "from_json.csv"))
 
 
 class TestStudy:
@@ -411,7 +437,38 @@ MALFORMED_INPUT_CASES = {
     "identify-empty-csv-signal": (
         ["identify", "--config", "{identify}", "--u", "{empty_csv}", "--y",
          "{empty_csv}"], 2, "empty.csv"),
+    "identify-filtering-key": (
+        ["identify", "--config", "{identify_filtering}", "--u", "{u}", "--y",
+         "{u}"], 2, "filtering"),
+    "identify-frf-key": (
+        ["identify", "--config", "{identify_frf}", "--u", "{u}", "--y", "{u}"],
+        2, "frf"),
+    "identify-string-periodic-signal": (
+        ["identify", "--config", "{identify}", "--u", "{string_periodic}",
+         "--y", "{string_periodic}"], 2, "'periodic'"),
+    "identify-string-samples-signal": (
+        ["identify", "--config", "{identify}", "--u", "{string_samples}",
+         "--y", "{string_samples}"], 2, "'samples'"),
 }
+
+# Options a subcommand does not take: argparse rejects them with exit 2.
+UNKNOWN_OPTION_CASES = {
+    "simulate-mode": ["simulate", "--config", "c.json", "--input", "u.csv",
+                      "--mode", "zero-initial"],
+    "identify-seed": ["identify", "--config", "c.json", "--u", "u.csv",
+                      "--y", "y.csv", "--seed", "5"],
+    "predict-seed": ["predict", "--model", "m.json", "--u", "u.csv",
+                     "--seed", "5"],
+    "scatter-seed": ["scatter", "--model", "m.json", "--u", "u.csv",
+                     "--y", "y.csv", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_OPTION_CASES))
+def test_unknown_option_exits_2(case, capsys):
+    argv = UNKNOWN_OPTION_CASES[case]
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 STATIC_POLY = {"n_channels": 1, "degree": 1, "basis": "monomial",
                "terms": [{"exponents": [0], "coefficient": 0.0},
@@ -471,16 +528,24 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
         "study_n_trials": write_json(tmp_path / "study_n.json", {
             "kind": "pole_rate", "system": "example1", "n_trials": "x"}),
         "identify_welch": write_json(tmp_path / "id_welch.json", {
-            "n_a": 1, "n_b": 1, "n_rep": 1, "degree": 1, "frf": "welch",
-            "filtering": "zero-initial", "welch_segment": "x"}),
+            "n_a": 1, "n_b": 1, "n_rep": 1, "degree": 1, "welch_segment": "x"}),
         "study_preset": write_json(tmp_path / "study_preset.json", {
             "kind": "pole_rate", "system": {"preset": "example3"},
             "n_trials": 1}),
         "identify_n_a": write_json(tmp_path / "id_n_a.json", {
             "n_a": -1, "n_b": 1, "n_rep": 1, "degree": 1}),
         "identify_welch_zero": write_json(tmp_path / "id_welch_zero.json", {
-            "n_a": 1, "n_b": 1, "n_rep": 1, "degree": 1, "frf": "welch",
-            "filtering": "zero-initial", "welch_segment": 0}),
+            "n_a": 1, "n_b": 1, "n_rep": 1, "degree": 1, "welch_segment": 0}),
+        "identify_filtering": write_json(tmp_path / "id_filtering.json", {
+            "n_a": 1, "n_b": 1, "n_rep": 1, "degree": 1,
+            "filtering": "zero-initial"}),
+        "identify_frf": write_json(tmp_path / "id_frf.json", {
+            "n_a": 1, "n_b": 1, "n_rep": 1, "degree": 1, "frf": "welch"}),
+        "string_periodic": write_json(tmp_path / "string_periodic.json", {
+            "samples": [0.5, 1, -2, 3], "periodic": "false",
+            "period_samples": 2}),
+        "string_samples": write_json(tmp_path / "string_samples.json", {
+            "samples": ["0.5", "1", "-2", "3"]}),
         "study_n_a": write_json(tmp_path / "study_n_a.json", {
             "kind": "pole_rate", "system": "example1", "n_trials": 1,
             "n_freqs_grid": [32], "n_a": -1}),

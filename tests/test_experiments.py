@@ -216,9 +216,9 @@ class TestStudies:
                                   seed=derive_seed(3, "trial", 0, "u-est"))
         u_val = generate_gaussian(cfg.n_samples, 1.0,
                                   seed=derive_seed(3, "trial", 0, "u-val"))
-        _, y_est = simulate(system, u_est, mode="zero-initial")
-        _, y_val = simulate(system, u_val, mode="zero-initial")
-        model = identify(u_est, y_est, cfg.identify_config(1, periodic=False))
+        _, y_est = simulate(system, u_est)
+        _, y_val = simulate(system, u_val)
+        model = identify(u_est, y_est, cfg.identify_config(1))
         discard = transient_length(model.bank, cfg.n_samples)
         expected = nrmse(y_val, predict(model, u_val), discard=discard)
         np.testing.assert_allclose(rec.nrmse, expected, rtol=1e-12)

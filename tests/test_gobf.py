@@ -142,12 +142,14 @@ class TestBankOutputs:
                                    atol=1e-10)
 
     def test_zero_initial_converges_to_periodic(self):
+        """The periodic record's steady-state outputs equal, once settled,
+        the outputs from rest of its aperiodic copy."""
         one = generate_multisine(MultisineSpec(n_samples=512, n_freqs=80, seed=5))
         four = SignalRecord(np.tile(one.samples, 4), periodic=True,
                             period_samples=512)
         bank = build_bank(EX1_POLES, 2)
-        xp = bank_outputs(bank, four, mode="periodic-steady-state")
-        xz = bank_outputs(bank, four, mode="zero-initial")
+        xp = bank_outputs(bank, four)
+        xz = bank_outputs(bank, SignalRecord(four.samples))
         last = slice(3 * 512, 4 * 512)
         assert np.max(np.abs(xp[last] - xz[last])) < 1e-8
 

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from wiener_gobf import bla, polymodel
 from wiener_gobf.errors import EstimationError, InvalidSpecError
-from wiener_gobf.gobf import bank_outputs, build_bank
+from wiener_gobf.experiments import example2_polynomial_system
+from wiener_gobf.gobf import bank_outputs, build_bank, transient_length
 from wiener_gobf.pipeline import (
     IdentifyConfig,
     StaticNonlinearity,
@@ -21,6 +23,7 @@ from wiener_gobf.signals import (
     MultisineSpec,
     NoiseSpec,
     SignalRecord,
+    generate_gaussian,
     generate_multisine,
 )
 
@@ -160,6 +163,40 @@ class TestIdentify:
         back = WienerModel.from_json(path)
         np.testing.assert_allclose(predict(back, u).samples,
                                    predict(model, u).samples, rtol=1e-14)
+
+
+class TestTheRecordDecides:
+    """A periodic record gets the period-averaged FRF and steady-state bank
+    outputs, an aperiodic one the Welch FRF and bank outputs from rest."""
+
+    def test_aperiodic_tiled_periods_settle_to_the_steady_state(self):
+        u = generate_multisine(MultisineSpec(n_samples=1020, n_freqs=170, seed=17))
+        _, y = simulate(EX1, u)
+        model = identify(u, y, IdentifyConfig(n_a=3, n_b=3, n_rep=2, degree=3))
+        assert model.provenance["periodic"] is True
+        steady = predict(model, u).samples
+        tiled = predict(model, SignalRecord(np.tile(u.samples, 4)))
+        assert not tiled.periodic
+        dev = np.max(np.abs(tiled.samples[3 * 1020:] - steady))
+        assert dev <= 1e-8 * np.max(np.abs(steady))
+
+    def test_gaussian_record_runs_welch_from_rest(self):
+        cfg = IdentifyConfig(n_a=2, n_b=2, n_rep=2, degree=3, welch_segment=250)
+        u = generate_gaussian(2000, seed=18)
+        _, y = simulate(example2_polynomial_system().with_noise_seed(19), u)
+        model = identify(u, y, cfg)
+
+        frf = bla.estimate_frf_welch(u, y, segment_length=cfg.welch_segment)
+        fit = bla.fit_rational(frf, cfg.n_a, cfg.n_b)
+        bank = build_bank(bla.stabilize_poles(fit.poles), cfg.n_rep)
+        X = bank_outputs(bank, u)
+        discard = transient_length(bank, len(u))
+        poly = polymodel.fit_poly_model(X[discard:], y.samples[discard:],
+                                        degree=cfg.degree, basis=cfg.basis)
+        assert discard > 0
+        assert np.array_equal(model.poly.coefficients, poly.coefficients)
+        assert model.provenance["periodic"] is False
+        assert model.provenance["transient_discarded"] == discard
 
 
 class TestIntermediate:

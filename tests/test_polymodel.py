@@ -21,7 +21,7 @@ from wiener_gobf.polymodel import (
     fit_ls,
     fit_poly_model,
 )
-from wiener_gobf.ratfun import PERIODIC, ZERO_INITIAL, RationalTF, filter_time, poles
+from wiener_gobf.ratfun import RationalTF, filter_time, poles
 from wiener_gobf.signals import MultisineSpec, generate_gaussian, generate_multisine
 
 EX1 = RationalTF(b=np.array([1.0, 3.0, 3.0, 1.0]),
@@ -272,7 +272,7 @@ class TestFitLs:
         n_rep = 3: cond(psi) is about 7.7e4, so the guard must send it to
         gelsd and reproduce gelsd's coefficients bit for bit."""
         u, y, pole_set = hard_trial_record()
-        X = bank_outputs(build_bank(pole_set, 3), u, mode=PERIODIC)
+        X = bank_outputs(build_bank(pole_set, 3), u)
         psi = build_regressors(X, 3, HERMITE, ChannelStandardization.from_data(X))
         assert np.array_equal(fit_ls(psi, y.samples), self.gelsd(psi, y.samples))
 
@@ -295,15 +295,17 @@ class TestNestedModels:
     def records(self):
         u, _, pole_set = hard_trial_record()
         gauss = generate_gaussian(len(u), seed=11)
-        return pole_set, {PERIODIC: u, ZERO_INITIAL: gauss}
+        return pole_set, {"periodic-steady-state": u, "zero-initial": gauss}
 
-    @pytest.mark.parametrize("mode", [PERIODIC, ZERO_INITIAL])
+    # Each record is named by how the bank filters it: the periodic
+    # multisine in steady state, the aperiodic Gaussian record from rest.
+    @pytest.mark.parametrize("record", ["periodic-steady-state", "zero-initial"])
     @pytest.mark.parametrize("n_rep", [1, 2])
-    def test_column_subsets_of_the_largest_model(self, records, mode, n_rep):
+    def test_column_subsets_of_the_largest_model(self, records, record, n_rep):
         pole_set, inputs = records
-        u = inputs[mode]
-        X3 = bank_outputs(build_bank(pole_set, 3), u, mode=mode)
-        X = bank_outputs(build_bank(pole_set, n_rep), u, mode=mode)
+        u = inputs[record]
+        X3 = bank_outputs(build_bank(pole_set, 3), u)
+        X = bank_outputs(build_bank(pole_set, n_rep), u)
         n_ch, n_ch3 = X.shape[1], X3.shape[1]
         assert np.array_equal(X, X3[:, :n_ch])
 

@@ -4,18 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from wiener_gobf.bla import stabilize_poles
 from wiener_gobf.errors import InvalidSpecError, SingularityError, UnstableFilterError
 from wiener_gobf.gobf import build_bank, transient_length
-from wiener_gobf.ratfun import (
-    PERIODIC,
-    ZERO_INITIAL,
-    RationalTF,
-    filter_time,
-    freq_response,
-    poles,
-)
+from wiener_gobf.ratfun import RationalTF, filter_time, freq_response, poles
 from wiener_gobf.signals import MultisineSpec, SignalRecord, generate_multisine
 
 EX1 = RationalTF(b=np.array([1.0, 3.0, 3.0, 1.0]),
@@ -27,6 +21,11 @@ def random_stable_tf(seed, n=3):
     p = rng.uniform(-0.9, 0.9, n)
     z = rng.uniform(-0.9, 0.9, n)
     return RationalTF(b=1.7 * np.poly(z), a=np.poly(p))
+
+
+def aperiodic(u: SignalRecord) -> SignalRecord:
+    """The same samples as a record without periodicity: filtered from rest."""
+    return SignalRecord(samples=u.samples)
 
 
 def assert_conjugate_closed(p):
@@ -69,23 +68,24 @@ class TestFilterTime:
     def test_identity_filter(self):
         u = generate_multisine(MultisineSpec(n_samples=64, n_freqs=10, seed=1))
         tf = RationalTF(b=np.array([1.0]), a=np.array([1.0]))
-        y = filter_time(tf, u, mode=PERIODIC)
+        y = filter_time(tf, u)
         np.testing.assert_allclose(y.samples, u.samples, atol=1e-12)
 
     def test_delay_is_circular_shift_in_periodic_mode(self):
         u = generate_multisine(MultisineSpec(n_samples=64, n_freqs=10, seed=2))
         tf = RationalTF(b=np.array([0.0, 1.0]), a=np.array([1.0]))
-        y = filter_time(tf, u, mode=PERIODIC)
+        y = filter_time(tf, u)
         np.testing.assert_allclose(y.samples, np.roll(u.samples, 1), atol=1e-12)
 
     def test_periodic_equals_settled_zero_initial(self):
-        """After the transient decays, the recursion reaches the exact
-        steady state computed in the frequency domain."""
+        """After the transient decays, the recursion from rest on the
+        aperiodic copy reaches the exact steady state computed in the
+        frequency domain on the periodic record."""
         one = generate_multisine(MultisineSpec(n_samples=1020, n_freqs=170, seed=3))
         four = SignalRecord(samples=np.tile(one.samples, 4), periodic=True,
                             period_samples=1020)
-        y_per = filter_time(EX1, four, mode=PERIODIC)
-        y_rec = filter_time(EX1, four, mode=ZERO_INITIAL)
+        y_per = filter_time(EX1, four)
+        y_rec = filter_time(EX1, aperiodic(four))
         last = slice(3 * 1020, 4 * 1020)
         dev = np.max(np.abs(y_per.samples[last] - y_rec.samples[last]))
         assert dev < 1e-8 * np.max(np.abs(y_per.samples))
@@ -95,11 +95,11 @@ class TestFilterTime:
         u1 = SignalRecord(rng.standard_normal(256), periodic=True)
         u2 = SignalRecord(rng.standard_normal(256), periodic=True)
         tf = random_stable_tf(7)
-        for mode in (PERIODIC, ZERO_INITIAL):
-            mix = SignalRecord(2.0 * u1.samples - 0.5 * u2.samples, periodic=True)
-            lhs = filter_time(tf, mix, mode=mode).samples
-            rhs = (2.0 * filter_time(tf, u1, mode=mode).samples
-                   - 0.5 * filter_time(tf, u2, mode=mode).samples)
+        mix = SignalRecord(2.0 * u1.samples - 0.5 * u2.samples, periodic=True)
+        for kind in (lambda u: u, aperiodic):
+            lhs = filter_time(tf, kind(mix)).samples
+            rhs = (2.0 * filter_time(tf, kind(u1)).samples
+                   - 0.5 * filter_time(tf, kind(u2)).samples)
             scale = np.max(np.abs(lhs))
             np.testing.assert_allclose(lhs, rhs, atol=1e-12 * max(scale, 1.0))
 
@@ -107,12 +107,13 @@ class TestFilterTime:
         tf = RationalTF(b=np.array([1.0]), a=np.array([1.0, -1.2]))
         u = generate_multisine(MultisineSpec(n_samples=64, n_freqs=8, seed=1))
         with pytest.raises(UnstableFilterError):
-            filter_time(tf, u, mode=PERIODIC)
+            filter_time(tf, u)
 
-    def test_aperiodic_input_rejected_in_periodic_mode(self):
-        u = SignalRecord(samples=np.ones(16))
-        with pytest.raises(InvalidSpecError):
-            filter_time(RationalTF.identity(), u, mode=PERIODIC)
+    def test_aperiodic_record_filtered_from_rest(self):
+        u = generate_multisine(MultisineSpec(n_samples=256, n_freqs=40, seed=4))
+        y = filter_time(EX1, aperiodic(u))
+        assert not y.periodic
+        assert np.array_equal(y.samples, lfilter(EX1.b, EX1.a, u.samples))
 
 
 class TestRoots:
@@ -163,7 +164,7 @@ class TestRoots:
 
 
 class TestTransient:
-    """Start-up transient of zero-initial filtering, estimated from the
+    """Start-up transient of filtering from rest, estimated from the
     poles of the basis bank that does the filtering."""
 
     def test_geometric_decay_length(self):

@@ -181,6 +181,27 @@ class TestSignalRecord:
         assert back.periodic and back.period_samples == 32
         assert json.loads(path.read_text())["generator"]["n_freqs"] == 5
 
+    @pytest.mark.parametrize("key, doc", [
+        ("periodic", {"samples": [0.5, 1, -2, 3], "periodic": "false",
+                      "period_samples": 2}),
+        ("periodic", {"samples": [0.5, 1], "periodic": 1}),
+        ("samples", {"samples": ["0.5", "1", "-2", "3"]}),
+        ("samples", {"samples": [0.5, True]}),
+        ("samples", {"samples": "0.5"}),
+    ])
+    def test_json_loose_types_rejected(self, tmp_path, key, doc):
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidSpecError, match=repr(key)):
+            SignalRecord.from_json(path)
+
+    def test_json_without_periodic_is_aperiodic(self, tmp_path):
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"samples": [1, 2.5]}))
+        back = SignalRecord.from_json(path)
+        assert not back.periodic and back.period_samples is None
+        assert np.array_equal(back.samples, [1.0, 2.5])
+
     def test_partial_period_rejected(self):
         with pytest.raises(InvalidSpecError):
             SignalRecord(samples=np.zeros(10), periodic=True, period_samples=4)
