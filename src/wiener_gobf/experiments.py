@@ -34,7 +34,7 @@ from .pipeline import (
     simulate,
     sup_error,
 )
-from .gobf import build_bank, transient_length
+from .gobf import bank_outputs, build_bank, transient_length
 from .ratfun import RationalTF, poles as tf_poles
 from .signals import (
     MultisineSpec,
@@ -463,10 +463,18 @@ def _periodic_trial_data(cfg: StudyConfig, trial: int, nf: int):
 
 def _convergence_trial(cfg: StudyConfig, trial: int, validation) -> list:
     """Per N_F: identify at each n_rep and record the validation sup-norm
-    error together with the BLA pole error."""
+    error together with the BLA pole error.  Both records are filtered once
+    per N_F, by the largest n_rep's bank; each model takes the leading
+    columns, which are its own bank's outputs bit for bit."""
     u_val, y_val = validation
     truth = tf_poles(cfg.system.g)
     records = []
+
+    def fail_all(nf, exc):
+        records.extend(TrialRecord(cfg.kind, trial, n_freqs=nf, n_rep=n_rep,
+                                   failed=True, message=str(exc))
+                       for n_rep in cfg.n_rep_set)
+
     for nf in cfg.n_freqs_grid:
         u, y = _periodic_trial_data(cfg, trial, nf)
         icfg = cfg.identify_config(n_rep=max(cfg.n_rep_set))
@@ -474,17 +482,20 @@ def _convergence_trial(cfg: StudyConfig, trial: int, validation) -> list:
             pole_set, fit = estimate_bla_poles(u, y, icfg)
             pole_error = min_max_pole_distance(fit.poles, truth)
         except EstimationError as exc:
-            records.extend(
-                TrialRecord(cfg.kind, trial, n_freqs=nf, n_rep=n_rep,
-                            failed=True, message=str(exc))
-                for n_rep in cfg.n_rep_set)
+            fail_all(nf, exc)
+            continue
+        try:
+            largest = build_bank(pole_set, icfg.n_rep)
+            X, X_val = bank_outputs(largest, u), bank_outputs(largest, u_val)
+        except Exception as exc:  # every n_rep model shares this pass
+            fail_all(nf, exc)
             continue
 
         for n_rep in cfg.n_rep_set:
             try:
                 bank = build_bank(pole_set, n_rep)
-                model = _assemble(u, y, bank, cfg.identify_config(n_rep), fit)
-                yhat = predict(model, u_val)
+                model = _assemble(u, y, bank, cfg.identify_config(n_rep), fit, X)
+                yhat = predict(model, u_val, X_val)
                 records.append(TrialRecord(
                     cfg.kind, trial, n_freqs=nf, n_rep=n_rep,
                     sup_error=sup_error(y_val, yhat),

@@ -148,15 +148,22 @@ def transient_length(bank: GobfBank, n: int) -> int:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+def _cascade(seq: np.ndarray, z: np.ndarray, read):
+    """Yield (l, F_l(z)) for each l in ``read``, in cascade form."""
+    running = np.ones_like(z)
+    for l, xi in enumerate(seq):
+        if l in read:
+            yield l, np.sqrt(1.0 - abs(xi) ** 2) / (z - xi) * running
+        running = running * (1.0 - np.conj(xi) * z) / (z - xi)
+
+
 def _complex_columns(bank: GobfBank, z: np.ndarray) -> np.ndarray:
-    """F_1..F_n evaluated at arbitrary complex points (cascade form)."""
+    """F_1..F_n evaluated at arbitrary complex points."""
     z = np.asarray(z, dtype=complex)
     seq = bank.pole_sequence
     cols = np.empty((len(z), len(seq)), dtype=complex)
-    running = np.ones_like(z)
-    for l, xi in enumerate(seq):
-        cols[:, l] = np.sqrt(1.0 - abs(xi) ** 2) / (z - xi) * running
-        running = running * (1.0 - np.conj(xi) * z) / (z - xi)
+    for l, col in _cascade(seq, z, range(len(seq))):
+        cols[:, l] = col
     return cols
 
 
@@ -170,28 +177,25 @@ def _read_columns(seq: np.ndarray) -> list[int]:
     return read
 
 
-def _recombine_real(bank: GobfBank, raw: np.ndarray, raw_conj: np.ndarray) -> np.ndarray:
-    """Map complex basis columns to real-coefficient columns.
+def _recombine_pair(xi: complex, f: np.ndarray, fbar: np.ndarray) -> np.ndarray:
+    """Whitened [Re, Im] columns of a conjugate pair from its first member
+    ``f``; ``fbar`` holds conj(f(conj(.))) on the same grid, which equals the
+    conjugate-coefficient function evaluated at the grid."""
+    re = (f + fbar) / np.sqrt(2.0)
+    im = (f - fbar) / (np.sqrt(2.0) * 1j)
+    return np.column_stack([re, im]) @ pair_whitening(xi)
 
-    ``raw_conj`` must hold conj(F_l(conj(.))) on the same grid, which equals
-    the conjugate-coefficient function evaluated at the grid.  Real poles pass
-    through; conjugate pairs are replaced by the whitened Re/Im combination,
-    computed from the pair's first member alone.
-    """
+
+def _recombine_real(bank: GobfBank, raw: np.ndarray, raw_conj: np.ndarray) -> np.ndarray:
+    """Map complex basis columns to real-coefficient columns: real poles pass
+    through, conjugate pairs become ``_recombine_pair`` of their first member."""
     seq = bank.pole_sequence
     out = np.empty_like(raw)
     for l in _read_columns(seq):
-        xi = seq[l]
-        if _is_real_pole(xi):
+        if _is_real_pole(seq[l]):
             out[:, l] = raw[:, l]
-            continue
-        f = raw[:, l]
-        fbar = raw_conj[:, l]
-        re = (f + fbar) / np.sqrt(2.0)
-        im = (f - fbar) / (np.sqrt(2.0) * 1j)
-        pair = np.column_stack([re, im]) @ pair_whitening(xi)
-        out[:, l] = pair[:, 0]
-        out[:, l + 1] = pair[:, 1]
+        else:
+            out[:, l:l + 2] = _recombine_pair(seq[l], raw[:, l], raw_conj[:, l])
     return out
 
 
@@ -212,48 +216,52 @@ def bank_frequency_matrix(bank: GobfBank, omegas,
     return np.hstack([np.ones((len(z), 1), dtype=complex), raw])
 
 
+def _filtered_columns(bank: GobfBank, u: SignalRecord):
+    """Yield (l, F_l u) as a complex signal for each column ``_read_columns``
+    names: on the DFT grid for a periodic record, through the shared all-pass
+    chain from rest otherwise."""
+    seq = bank.pole_sequence
+    read = set(_read_columns(seq))
+    samples = u.samples
+    if u.periodic:
+        n = len(samples)
+        spectrum = dft(samples)
+        for l, col in _cascade(seq, np.exp(2j * np.pi * np.arange(n) / n), read):
+            yield l, np.fft.ifft(col * spectrum)
+    else:
+        chain = samples.astype(complex)
+        for l, xi in enumerate(seq):
+            if l in read:
+                gain = np.sqrt(1.0 - abs(xi) ** 2)
+                yield l, lfilter([0.0, gain], [1.0, -xi], chain)
+            chain = lfilter([-np.conj(xi), 1.0], [1.0, -xi], chain)
+
+
 def bank_outputs(bank: GobfBank, u: SignalRecord) -> np.ndarray:
     """Real N x n_outputs matrix of basis-filter outputs x_l = F_l u.
 
     A periodic record is filtered on its DFT grid (exact steady state); an
     aperiodic record runs the cascaded one-pole recursions from rest,
-    sharing the all-pass chain across basis functions.
+    sharing the all-pass chain across basis functions.  Each real column is
+    written into the result as soon as it is recombined.
     """
-    samples = u.samples
-    n = len(samples)
-
-    cols: list[np.ndarray] = [samples]
-
-    if bank.n_dynamic > 0:
-        # Only the columns _recombine_real reads are filtered; the second
-        # member of each conjugate pair stays zero.
-        read = _read_columns(bank.pole_sequence)
-        raw = np.zeros((n, bank.n_dynamic), dtype=complex)
-        if u.periodic:
-            z = np.exp(2j * np.pi * np.arange(n) / n)
-            spectrum = dft(samples)
-            fcols = _complex_columns(bank, z)[:, read]
-            raw[:, read] = np.fft.ifft(fcols * spectrum[:, None], axis=0)
-        else:
-            chain = samples.astype(complex)
-            for l, xi in enumerate(bank.pole_sequence):
-                if l in read:
-                    gain = np.sqrt(1.0 - abs(xi) ** 2)
-                    raw[:, l] = lfilter([0.0, gain], [1.0, -xi], chain)
-                chain = lfilter([-np.conj(xi), 1.0], [1.0, -xi], chain)
-
-        raw_conj = np.conj(raw)  # time-domain conjugate equals the conj-coefficient output
-        real_cols = _recombine_real(bank, raw, raw_conj)
-        leak = np.max(np.abs(real_cols.imag)) if real_cols.size else 0.0
-        scale = max(np.max(np.abs(real_cols.real)), 1.0) if real_cols.size else 1.0
-        if leak > 1e-8 * scale:
-            raise InvalidSpecError(
-                f"basis outputs are not real (imaginary leakage {leak:.3e}); "
-                "pole set is likely not conjugate closed"
-            )
-        cols.extend(real_cols[:, l].real for l in range(real_cols.shape[1]))
-
-    return np.column_stack(cols)
+    seq = bank.pole_sequence
+    out = np.empty((len(u.samples), bank.n_outputs))
+    out[:, 0] = u.samples
+    leak = 0.0
+    for l, f in _filtered_columns(bank, u):
+        # The time-domain conjugate equals the conjugate-coefficient output.
+        cols = (f[:, None] if _is_real_pole(seq[l])
+                else _recombine_pair(seq[l], f, np.conj(f)))
+        out[:, 1 + l:1 + l + cols.shape[1]] = cols.real
+        leak = np.maximum(leak, np.max(np.abs(cols.imag), initial=0.0))
+    scale = max(np.max(np.abs(out[:, 1:]), initial=0.0), 1.0)
+    if leak > 1e-8 * scale:
+        raise InvalidSpecError(
+            f"basis outputs are not real (imaginary leakage {leak:.3e}); "
+            "pole set is likely not conjugate closed"
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

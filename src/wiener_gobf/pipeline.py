@@ -9,14 +9,13 @@ used for nonlinearity shape inspection lives here as well.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
 
 from . import bla, gobf, polymodel
-from .errors import EstimationError, InvalidSpecError, RankDeficiencyWarning, json_kwargs
+from .errors import EstimationError, InvalidSpecError, json_kwargs
 from .ratfun import RationalTF, filter_time
 from .signals import NoiseSpec, SignalRecord, generate_noise
 
@@ -211,11 +210,10 @@ def estimate_bla_poles(u: SignalRecord, y: SignalRecord,
 
 
 def _assemble(u: SignalRecord, y: SignalRecord, bank: gobf.GobfBank,
-              cfg: IdentifyConfig, fit: Optional[bla.BlaFitResult]) -> WienerModel:
-    try:
-        X = gobf.bank_outputs(bank, u)
-    except Exception as exc:
-        raise EstimationError("bank-outputs", str(exc)) from exc
+              cfg: IdentifyConfig, fit: Optional[bla.BlaFitResult],
+              X: np.ndarray) -> WienerModel:
+    """Fit the polynomial on the leading ``bank.n_outputs`` columns of X."""
+    X = X[:, :bank.n_outputs]
     discard = 0 if u.periodic else gobf.transient_length(bank, len(u.samples))
     try:
         poly = polymodel.fit_poly_model(X[discard:], y.samples[discard:],
@@ -254,14 +252,26 @@ def identify(u: SignalRecord, y: SignalRecord, cfg: IdentifyConfig) -> WienerMod
             bank = gobf.build_bank(pole_set, cfg.n_rep)
         except Exception as exc:
             raise EstimationError("bank", str(exc)) from exc
-    return _assemble(u, y, bank, cfg, fit)
+    try:
+        X = gobf.bank_outputs(bank, u)
+    except Exception as exc:
+        raise EstimationError("bank-outputs", str(exc)) from exc
+    return _assemble(u, y, bank, cfg, fit, X)
 
 
-def predict(model: WienerModel, u: SignalRecord) -> SignalRecord:
+def predict(model: WienerModel, u: SignalRecord,
+            X: Optional[np.ndarray] = None) -> SignalRecord:
     """Simulate the identified model on a new input; the bank is filtered
-    in steady state if ``u`` is periodic and from rest otherwise."""
-    X = gobf.bank_outputs(model.bank, u)
-    yhat = polymodel.evaluate(model.poly, X)
+    in steady state if ``u`` is periodic and from rest otherwise.  Given the
+    bank outputs ``X`` of ``u``, the model reads their leading
+    ``model.bank.n_outputs`` columns instead (a larger bank may supply X)."""
+    n_out = model.bank.n_outputs
+    if X is None:
+        X = gobf.bank_outputs(model.bank, u)
+    elif X.ndim != 2 or X.shape[0] != len(u.samples) or X.shape[1] < n_out:
+        raise InvalidSpecError(f"bank outputs of shape {X.shape} do not cover "
+                               f"{len(u.samples)} samples x {n_out} outputs")
+    yhat = polymodel.evaluate(model.poly, X[:, :n_out])
     return SignalRecord(samples=yhat, periodic=u.periodic,
                         period_samples=u.period_samples)
 
@@ -281,10 +291,7 @@ def estimate_intermediate(bank: gobf.GobfBank, y: SignalRecord,
     target = np.asarray(y.samples, dtype=float)
     if len(target) != X.shape[0]:
         raise InvalidSpecError("y length must match X rows")
-    alpha, _, rank, _ = np.linalg.lstsq(X, target, rcond=None)
-    if X.shape[1] > 0 and rank < X.shape[1]:
-        warnings.warn("rank-deficient intermediate estimate", RankDeficiencyWarning)
-    return X @ alpha
+    return X @ polymodel.fit_ls(X, target)
 
 
 def nrmse(y: Union[SignalRecord, np.ndarray],

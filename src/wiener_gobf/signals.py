@@ -101,6 +101,10 @@ class SignalRecord:
                 raise InvalidSpecError(
                     "periodic record length must be a whole number of periods, "
                     "at least one")
+        elif self.period_samples is not None:
+            raise InvalidSpecError(
+                f"an aperiodic record has no period_samples, not "
+                f"{self.period_samples!r}")
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -446,6 +446,9 @@ MALFORMED_INPUT_CASES = {
     "identify-string-periodic-signal": (
         ["identify", "--config", "{identify}", "--u", "{string_periodic}",
          "--y", "{string_periodic}"], 2, "'periodic'"),
+    "predict-aperiodic-signal-with-period": (
+        ["predict", "--model", "{static_model}", "--u", "{aperiodic_period}"],
+        2, "period_samples"),
     "identify-string-samples-signal": (
         ["identify", "--config", "{identify}", "--u", "{string_samples}",
          "--y", "{string_samples}"], 2, "'samples'"),
@@ -544,6 +547,9 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
         "string_periodic": write_json(tmp_path / "string_periodic.json", {
             "samples": [0.5, 1, -2, 3], "periodic": "false",
             "period_samples": 2}),
+        "aperiodic_period": write_json(tmp_path / "aperiodic_period.json", {
+            "samples": [0.5, 1, -2, 3], "periodic": False,
+            "period_samples": 3}),
         "string_samples": write_json(tmp_path / "string_samples.json", {
             "samples": ["0.5", "1", "-2", "3"]}),
         "study_n_a": write_json(tmp_path / "study_n_a.json", {

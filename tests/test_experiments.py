@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wiener_gobf import experiments
 from wiener_gobf.errors import InvalidSpecError
 from wiener_gobf.experiments import (
     CONVERGENCE,
@@ -13,6 +14,7 @@ from wiener_gobf.experiments import (
     POLE_RATE,
     StudyConfig,
     StudyResult,
+    TrialRecord,
     example1_system,
     example2_polynomial_system,
     example2_polynomial_truth_coefficients,
@@ -22,8 +24,19 @@ from wiener_gobf.experiments import (
     run_study,
     system_from_json,
 )
-from wiener_gobf.pipeline import IdentifyConfig, StaticNonlinearity, WienerSystem
-from wiener_gobf.ratfun import RationalTF
+from wiener_gobf.gobf import bank_outputs, build_bank
+from wiener_gobf.pipeline import (
+    IdentifyConfig,
+    StaticNonlinearity,
+    WienerModel,
+    WienerSystem,
+    estimate_bla_poles,
+    nrmse,
+    predict,
+    sup_error,
+)
+from wiener_gobf.polymodel import fit_poly_model
+from wiener_gobf.ratfun import RationalTF, poles
 from wiener_gobf.signals import MultisineSpec
 
 
@@ -33,6 +46,28 @@ def tiny_convergence_config(**kw):
                     validation_n_freqs=341)
     defaults.update(kw)
     return StudyConfig(**defaults)
+
+
+def convergence_records_one_bank_per_model(cfg, trial=0):
+    """A convergence trial with every n_rep model built on its own: its own
+    bank, bank outputs, polynomial fit and prediction."""
+    u_val, y_val = experiments._convergence_validation(cfg)
+    records = []
+    for nf in cfg.n_freqs_grid:
+        u, y = experiments._periodic_trial_data(cfg, trial, nf)
+        pole_set, fit = estimate_bla_poles(
+            u, y, cfg.identify_config(max(cfg.n_rep_set)))
+        pole_error = min_max_pole_distance(fit.poles, poles(cfg.system.g))
+        for n_rep in cfg.n_rep_set:
+            bank = build_bank(pole_set, n_rep)
+            poly = fit_poly_model(bank_outputs(bank, u), y.samples,
+                                  degree=cfg.degree, basis=cfg.basis)
+            yhat = predict(WienerModel(bank=bank, poly=poly), u_val)
+            records.append(TrialRecord(
+                CONVERGENCE, trial, n_freqs=nf, n_rep=n_rep,
+                sup_error=sup_error(y_val, yhat), nrmse=nrmse(y_val, yhat),
+                pole_error=pole_error))
+    return records
 
 
 class TestSlopeFit:
@@ -150,6 +185,32 @@ class TestStudies:
         serial = run_study(cfg, jobs=1)
         parallel = run_study(cfg, jobs=2)
         assert serial.records == parallel.records
+
+    def test_nested_models_share_bank_outputs_exactly(self):
+        cfg = tiny_convergence_config(n_trials=1, n_freqs_grid=(170, 341, 682),
+                                      n_rep_set=(1, 2, 3), validation_n_freqs=682)
+        assert run_study(cfg).records == convergence_records_one_bank_per_model(cfg)
+
+    def test_failed_shared_bank_outputs_fail_that_n_freqs_only(self, monkeypatch):
+        cfg = tiny_convergence_config(n_trials=1, n_freqs_grid=(170, 341, 682),
+                                      n_rep_set=(1, 2, 3), validation_n_freqs=682)
+        expected = convergence_records_one_bank_per_model(cfg)
+        real = experiments.bank_outputs
+
+        def failing(bank, u):
+            if len(u.samples) == 6 * 341:
+                raise InvalidSpecError("no outputs at N_F = 341")
+            return real(bank, u)
+
+        monkeypatch.setattr(experiments, "bank_outputs", failing)
+        records = run_study(cfg).records
+        assert [(r.n_freqs, r.n_rep) for r in records] \
+            == [(r.n_freqs, r.n_rep) for r in expected]
+        for got, want in zip(records, expected):
+            if got.n_freqs == 341:
+                assert got.failed and got.message == "no outputs at N_F = 341"
+            else:
+                assert got == want
 
     def test_aggregates_recomputable_and_consistent(self):
         cfg = tiny_convergence_config()

@@ -153,6 +153,19 @@ class TestBankOutputs:
         last = slice(3 * 512, 4 * 512)
         assert np.max(np.abs(xp[last] - xz[last])) < 1e-8
 
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_pole_set_not_conjugate_closed_leaks_and_is_rejected(self, periodic):
+        """A pole without its conjugate, forced past the constructor's
+        check, makes the all-pass product before the second repetition's
+        real pole complex; bank_outputs refuses the complex column."""
+        bank = build_bank(EX1_POLES, 2)
+        lone = bank.base_poles.copy()
+        lone[2] = lone[1]      # the pair's second member becomes a copy of its first
+        object.__setattr__(bank, "base_poles", lone)
+        u = generate_multisine(MultisineSpec(n_samples=256, n_freqs=40, seed=6))
+        with pytest.raises(InvalidSpecError, match="imaginary leakage"):
+            bank_outputs(bank, u if periodic else SignalRecord(u.samples))
+
     def test_sample_gram_on_full_band_multisine(self):
         """Flat excitation over the whole band makes the sample channel
         covariance approach rms^2 * identity (quadrature oracle)."""

@@ -321,6 +321,34 @@ class TestNestedModels:
         assert np.array_equal(build_regressors(X, 3, HERMITE, std),
                               build_regressors(X3, 3, HERMITE, std3)[:, columns])
 
+    @staticmethod
+    def nested_model(pole_set, u, n_rep):
+        """A model of bank (pole_set, n_rep) fitted to a smooth nonlinear
+        target of its own bank outputs."""
+        bank = build_bank(pole_set, n_rep)
+        X = bank_outputs(bank, u)
+        y = np.tanh(X[:, -1]) + 0.3 * X[:, 0] * X[:, 1]
+        return pipeline.WienerModel(bank=bank, poly=fit_poly_model(X, y, 3))
+
+    @pytest.mark.parametrize("record", ["periodic-steady-state", "zero-initial"])
+    @pytest.mark.parametrize("n_rep", [1, 2])
+    def test_predict_on_the_largest_bank_outputs(self, records, record, n_rep):
+        pole_set, inputs = records
+        u = inputs[record]
+        model = self.nested_model(pole_set, u, n_rep)
+        X3 = bank_outputs(build_bank(pole_set, 3), u)
+        assert np.array_equal(pipeline.predict(model, u, X=X3).samples,
+                              pipeline.predict(model, u).samples)
+
+    def test_predict_rejects_bank_outputs_that_do_not_cover_the_model(self, records):
+        pole_set, inputs = records
+        u = inputs["periodic-steady-state"]
+        model = self.nested_model(pole_set, u, 2)
+        X = bank_outputs(model.bank, u)
+        for bad in (X[1:], X[:, :-1], X[:, 0]):
+            with pytest.raises(InvalidSpecError, match="bank outputs"):
+                pipeline.predict(model, u, X=bad)
+
 
 class TestModel:
     def test_constant_model(self):

@@ -202,6 +202,15 @@ class TestSignalRecord:
         assert not back.periodic and back.period_samples is None
         assert np.array_equal(back.samples, [1.0, 2.5])
 
+    def test_aperiodic_record_with_a_period_rejected(self, tmp_path):
+        with pytest.raises(InvalidSpecError, match="period_samples"):
+            SignalRecord(samples=np.zeros(4), periodic=False, period_samples=2)
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"samples": [0.5, 1, -2, 3],
+                                    "periodic": False, "period_samples": 3}))
+        with pytest.raises(InvalidSpecError, match="period_samples"):
+            SignalRecord.from_json(path)
+
     def test_partial_period_rejected(self):
         with pytest.raises(InvalidSpecError):
             SignalRecord(samples=np.zeros(10), periodic=True, period_samples=4)
