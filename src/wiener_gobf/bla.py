@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import get_window
 
 from .errors import (
     DegenerateExcitationError,
@@ -113,6 +112,8 @@ def estimate_frf_welch(u: SignalRecord, y: SignalRecord,
     Hann-windowed segments overlapping by half are averaged; stands in for
     the more advanced FRF estimators when the input is not periodic.
     """
+    from scipy.signal import get_window
+
     x = np.asarray(u.samples, dtype=float)
     z = np.asarray(y.samples, dtype=float)
     if len(x) != len(z):

@@ -9,6 +9,7 @@ worker count.
 from __future__ import annotations
 
 import csv
+import ctypes
 import itertools
 import json
 import math
@@ -576,10 +577,47 @@ _TRIAL_RUNNERS = {
 }
 
 
+# Thread-count setters of the OpenBLAS builds that numpy (64-bit integers)
+# and scipy bundle.
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads")
+
+
+def _openblas_libraries() -> list:
+    """ctypes handles of every OpenBLAS this process has loaded, as listed in
+    /proc/self/maps; none where that file cannot be read."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh
+                     if "openblas" in line.rsplit("/", 1)[-1]}
+    except OSError:
+        return []
+    libraries = []
+    for path in sorted(paths):
+        try:
+            libraries.append(ctypes.CDLL(path))
+        except OSError:
+            pass
+    return libraries
+
+
+def _pin_blas_threads() -> None:
+    """Worker initializer: one thread in every loaded OpenBLAS that exports a
+    known setter, so ``jobs`` workers do not each start one BLAS thread per
+    core."""
+    for library in _openblas_libraries():
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
 def run_study(cfg: StudyConfig, jobs: int = 1,
               skip_trials: Optional[set] = None) -> StudyResult:
     """Run every trial of ``cfg`` not in ``skip_trials`` on ``jobs`` worker
-    processes; records come back in trial order whatever the worker count."""
+    processes; records come back in trial order whatever the worker count.
+    Each worker uses one BLAS thread."""
     cfg.validate()
     runner = _TRIAL_RUNNERS[cfg.kind]
     validation = _convergence_validation(cfg) if cfg.kind == CONVERGENCE else None
@@ -591,7 +629,10 @@ def run_study(cfg: StudyConfig, jobs: int = 1,
         for t in trials:
             records.extend(runner(cfg, t, validation))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The default context (fork on Linux) stays: spawn would re-run the
+        # top level of a calling script that has no __main__ guard.
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 initializer=_pin_blas_threads) as pool:
             futures = [pool.submit(runner, cfg, t, validation) for t in trials]
             for fut in futures:  # submission order keeps records deterministic
                 records.extend(fut.result())

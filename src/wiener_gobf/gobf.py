@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import IllConditionedBasisWarning, InvalidSpecError, UnstableFilterError
 from .ratfun import RationalTF, freq_response
@@ -229,6 +228,8 @@ def _filtered_columns(bank: GobfBank, u: SignalRecord):
         for l, col in _cascade(seq, np.exp(2j * np.pi * np.arange(n) / n), read):
             yield l, np.fft.ifft(col * spectrum)
     else:
+        from scipy.signal import lfilter
+
         chain = samples.astype(complex)
         for l, xi in enumerate(seq):
             if l in read:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InvalidSpecError, SingularityError, UnstableFilterError, json_kwargs
 from .signals import SignalRecord, dft, idft
@@ -103,6 +102,8 @@ def filter_time(tf: RationalTF, u: SignalRecord) -> SignalRecord:
     runs the direct-form recursion from rest.
     """
     if not u.periodic:
+        from scipy.signal import lfilter
+
         return SignalRecord(samples=lfilter(tf.b, tf.a, u.samples))
     if not tf.is_stable():
         raise UnstableFilterError("periodic-steady-state filtering needs a stable filter")

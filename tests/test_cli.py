@@ -594,3 +594,49 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
     assert proc.returncode == code, proc.stderr
     assert message in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def loads_scipy_signal(*commands):
+    """Run CLI commands in one fresh interpreter, after ``import wiener_gobf``;
+    whether that interpreter then holds scipy.signal."""
+    script = ("import sys\n"
+              "import wiener_gobf\n"
+              "from wiener_gobf.cli import main\n"
+              f"for argv in {[list(c) for c in commands]!r}:\n"
+              "    if main(argv) != 0:\n"
+              "        sys.exit(f'{argv} failed')\n"
+              "print('scipy.signal' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(wiener_gobf.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()[-1] == "True"
+
+
+class TestColdStart:
+    """scipy.signal is imported only where a record is filtered from rest."""
+
+    def test_periodic_identify_and_predict_leave_it_unloaded(self, tmp_path, out):
+        u_path = TestScatter.identify_model(tmp_path, out, n=1020, nf=170)
+        id_cfg = tmp_path / "id.json"
+        assert not loads_scipy_signal(
+            ["identify", "--config", str(id_cfg), "--u", str(u_path),
+             "--y", str(out / "ex1_y.csv"), "--out-dir", str(out)],
+            ["predict", "--model", str(out / "m.json"), "--u", str(u_path),
+             "--out-dir", str(out)])
+
+    def test_aperiodic_identify_loads_it(self, tmp_path, out):
+        gen = write_json(tmp_path / "gen.json", {"kind": "gaussian",
+                                                 "n_samples": 2000, "seed": 4})
+        assert main(["generate", "--config", gen, "--out-dir", str(out)]) == 0
+        sys_cfg = write_json(tmp_path / "sys.json",
+                             {"preset": "example2_polynomial", "name": "ex2"})
+        assert main(["simulate", "--config", sys_cfg, "--input",
+                     str(out / "gaussian.csv"), "--out-dir", str(out)]) == 0
+        id_cfg = write_json(tmp_path / "id.json",
+                            {"n_a": 2, "n_b": 2, "n_rep": 1, "degree": 3,
+                             "welch_segment": 250})
+        assert loads_scipy_signal(
+            ["identify", "--config", id_cfg, "--u", str(out / "gaussian.csv"),
+             "--y", str(out / "ex2_y.csv"), "--out-dir", str(out)])

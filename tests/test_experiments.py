@@ -1,3 +1,4 @@
+import ctypes
 import json
 from dataclasses import fields, replace
 
@@ -46,6 +47,19 @@ def tiny_convergence_config(**kw):
                     validation_n_freqs=341)
     defaults.update(kw)
     return StudyConfig(**defaults)
+
+
+def blas_thread_counts(cfg, trial, validation):
+    """A trial runner that reports, per loaded OpenBLAS, its thread count."""
+    counts = []
+    for library in experiments._openblas_libraries():
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads"):
+            getter = getattr(library, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts.append((name, getter()))
+    return counts
 
 
 def convergence_records_one_bank_per_model(cfg, trial=0):
@@ -185,6 +199,19 @@ class TestStudies:
         serial = run_study(cfg, jobs=1)
         parallel = run_study(cfg, jobs=2)
         assert serial.records == parallel.records
+
+    def test_parallel_workers_use_one_blas_thread(self, monkeypatch):
+        try:
+            with open("/proc/self/maps") as fh:
+                if "openblas" not in fh.read():
+                    pytest.skip("no OpenBLAS loaded")
+        except OSError:
+            pytest.skip("no /proc/self/maps")
+        cfg = tiny_convergence_config(n_trials=2)
+        monkeypatch.setitem(experiments._TRIAL_RUNNERS, CONVERGENCE,
+                            blas_thread_counts)
+        counts = run_study(cfg, jobs=2).records
+        assert counts and all(n == 1 for _, n in counts), counts
 
     def test_nested_models_share_bank_outputs_exactly(self):
         cfg = tiny_convergence_config(n_trials=1, n_freqs_grid=(170, 341, 682),

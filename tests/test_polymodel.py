@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wiener_gobf import experiments, pipeline
@@ -13,6 +13,7 @@ from wiener_gobf.gobf import build_bank, bank_outputs
 from wiener_gobf.polymodel import (
     HERMITE,
     MONOMIAL,
+    ROW_BLOCK,
     ChannelStandardization,
     MultiPolyModel,
     build_regressors,
@@ -146,11 +147,16 @@ class TestExactLayout:
     @given(st.integers(min_value=1, max_value=6),
            st.integers(min_value=0, max_value=4),
            st.sampled_from([MONOMIAL, HERMITE]),
-           st.integers(min_value=0, max_value=2**32 - 1))
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.just((40, 30)))
+    # Records longer than two row blocks, ending in a partial one.
+    @example(3, 3, MONOMIAL, 5, (2 * ROW_BLOCK + 3, 2 * ROW_BLOCK + 3))
+    @example(3, 3, HERMITE, 6, (2 * ROW_BLOCK + 3, 2 * ROW_BLOCK + 3))
     @settings(max_examples=60, deadline=None)
-    def test_matches_per_column_products_exactly(self, n_ch, degree, basis, seed):
+    def test_matches_per_column_products_exactly(self, n_ch, degree, basis, seed,
+                                                 rows):
         rng = np.random.default_rng(seed)
-        X = rng.standard_normal((40, n_ch)) * rng.uniform(0.1, 5.0, n_ch) \
+        X = rng.standard_normal((rows[0], n_ch)) * rng.uniform(0.1, 5.0, n_ch) \
             + rng.uniform(-2.0, 2.0, n_ch)
         std = ChannelStandardization.from_data(X) if basis == HERMITE else None
         indices = enumerate_multi_indices(n_ch, degree)
@@ -162,19 +168,47 @@ class TestExactLayout:
         beta[rng.random(len(beta)) < 0.2] = 0.0
         model = MultiPolyModel(n_channels=n_ch, degree=degree, basis=basis,
                                coefficients=beta, standardization=std)
-        X2 = rng.standard_normal((30, n_ch))
+        X2 = rng.standard_normal((rows[1], n_ch))
         assert np.array_equal(evaluate(model, X2), reference_evaluate(model, X2))
+
+    @pytest.mark.parametrize("basis", [MONOMIAL, HERMITE])
+    @pytest.mark.parametrize("layout", ["one-column", "fortran"])
+    def test_channels_left_unchanged(self, basis, layout):
+        """The channels are standardized in a copy, also where X.T is already
+        C-contiguous and a plain transpose would be a view of X."""
+        rng = np.random.default_rng(8)
+        n_ch = 1 if layout == "one-column" else 3
+        X = np.asfortranarray(2.0 * rng.standard_normal((50, n_ch)) + 1.0)
+        X0 = X.copy()
+        model = fit_poly_model(X, rng.standard_normal(50), 3, basis)
+        build_regressors(X, 3, basis, model.standardization)
+        evaluate(model, X)
+        assert np.array_equal(X, X0)
 
 
 class TestFitLs:
-    @pytest.mark.parametrize("where", ["psi", "y"])
+    @pytest.mark.parametrize("where, rows", [("psi", 20), ("y", 20),
+                                             ("psi", 2), ("y", 2)],
+                             ids=["psi", "y", "wide-psi", "wide-y"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_data_rejected(self, where, bad):
-        x = np.linspace(-1.0, 1.0, 20)[:, None]
+    def test_non_finite_data_rejected(self, where, rows, bad):
+        """A tall psi (20 x 3) is caught through its normal equations, a wide
+        one (2 x 3) before gelsd."""
+        x = np.linspace(-1.0, 1.0, rows)[:, None]
         data = {"psi": build_regressors(x, 2, MONOMIAL), "y": x[:, 0] ** 2}
-        data[where][3] = bad
+        data[where][1] = bad
         with pytest.raises(InvalidSpecError, match="finite"):
             fit_ls(data["psi"], data["y"])
+
+    def test_overflowing_normal_equations_are_not_non_finite_data(self):
+        """psi is finite but psi^T psi overflows: no finiteness error, the
+        factorization fails and gelsd gives its coefficients."""
+        psi, y = self.random_problem(20, np.ones(3))
+        psi *= 1e200
+        with np.errstate(over="ignore"):
+            beta = fit_ls(psi, y)
+            assert not np.all(np.isfinite(psi.T @ psi))
+        assert np.array_equal(beta, self.gelsd(psi, y))
 
     def test_target_length_must_match_rows(self):
         psi = build_regressors(np.linspace(-1.0, 1.0, 20)[:, None], 2, MONOMIAL)
