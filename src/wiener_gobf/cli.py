@@ -42,8 +42,8 @@ EXIT_NUMERICAL = 3
 # Failures of the computation itself, as opposed to bad input.
 NUMERICAL_ERRORS = (UnstableFilterError, SingularityError, RankDeficiencyError,
                     np.linalg.LinAlgError, EstimationError)
-# What parsing a model or signal file raises on bad content (JSON syntax
-# errors are ValueErrors).
+# What parsing a model, signal or records file raises on bad content (JSON
+# syntax errors are ValueErrors).
 MALFORMED_FILE_ERRORS = (LookupError, TypeError, ValueError)
 
 
@@ -304,22 +304,15 @@ def cmd_study(args) -> int:
     records_path = os.path.join(out, f"{name}_records.csv")
     manifest_path = os.path.join(out, f"{name}_study.manifest.json")
 
-    skip = None
-    prior_records = []
+    prior = []
     if args.resume and os.path.exists(records_path):
         _check_resumable(manifest_path, cfg)
-        prior_records = experiments.StudyResult.read_records_csv(records_path)
-        skip = {r.trial for r in prior_records}
+        try:
+            prior = experiments.StudyResult.read_records_csv(records_path)
+        except MALFORMED_FILE_ERRORS as exc:
+            raise CliError(f"records file {records_path} is malformed: {exc!r}")
 
-    result = experiments.run_study(cfg, jobs=args.jobs, skip_trials=skip)
-
-    if prior_records:
-        merged = prior_records + result.records
-        merged.sort(key=lambda r: (r.trial,
-                                   r.n_freqs if r.n_freqs is not None else -1,
-                                   r.n_rep if r.n_rep is not None else -1))
-        result = experiments.StudyResult(config=cfg, records=merged)
-
+    result = experiments.run_study(cfg, jobs=args.jobs, prior=prior)
     if result.records and all(r.failed for r in result.records):
         raise CliError("all trials failed", code=EXIT_NUMERICAL)
 

@@ -12,12 +12,12 @@ import csv
 import ctypes
 import itertools
 import json
-import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -36,9 +36,10 @@ from .pipeline import (
     sup_error,
 )
 from .gobf import bank_outputs, build_bank, transient_length
-from .ratfun import RationalTF, poles as tf_poles
+from .ratfun import RationalTF, filter_time, poles as tf_poles
 from .signals import (
     MultisineSpec,
+    NoiseSpec,
     derive_seed,
     generate_gaussian,
     generate_multisine,
@@ -75,8 +76,6 @@ def example2_g() -> RationalTF:
 
 def example2_system(noise_variance: float = 0.01, noise_seed: int = 0) -> WienerSystem:
     """Second-order block with a saturation at (-0.4, 0.2) and white output noise."""
-    from .signals import NoiseSpec
-
     f = StaticNonlinearity(kind="saturation", lower=-0.4, upper=0.2)
     noise = NoiseSpec(variance=noise_variance, seed=noise_seed) \
         if noise_variance > 0 else None
@@ -91,12 +90,9 @@ def example2_polynomial_truth_coefficients() -> tuple:
     pushed through the linear block; the estimation-set distribution is the
     same, so this is the in-model-class variant of the saturation system.
     """
-    from scipy.signal import lfilter
-
     u = generate_gaussian(200_000, variance=1.0,
                           seed=derive_seed(0x5E2, "poly-truth-input"))
-    g = example2_g()
-    x = lfilter(g.b, g.a, u.samples)
+    x = filter_time(example2_g(), u).samples
     y = np.clip(x, -0.4, 0.2)
     psi = np.vander(x, 4, increasing=True)
     gamma, *_ = np.linalg.lstsq(psi, y, rcond=None)
@@ -105,13 +101,10 @@ def example2_polynomial_truth_coefficients() -> tuple:
 
 def example2_polynomial_system(noise_variance: float = 0.01,
                                noise_seed: int = 0) -> WienerSystem:
-    from .signals import NoiseSpec
-
+    """``example2_system`` with the saturation replaced by its best cubic."""
     gamma = np.array(example2_polynomial_truth_coefficients())
-    f = StaticNonlinearity(kind="polynomial", coefficients=gamma)
-    noise = NoiseSpec(variance=noise_variance, seed=noise_seed) \
-        if noise_variance > 0 else None
-    return WienerSystem(g=example2_g(), f=f, output_noise=noise)
+    return replace(example2_system(noise_variance, noise_seed),
+                   f=StaticNonlinearity(kind="polynomial", coefficients=gamma))
 
 
 SYSTEM_PRESETS = {
@@ -201,9 +194,25 @@ class StudyConfig:
                    **json_kwargs(cls, rest, skip=("system",)))
 
 
+def _csv_text(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _csv_parser(annotation):
+    """The reader of a CSV cell for a field annotated ``T`` or ``Optional[T]``."""
+    base = next((t for t in get_args(annotation) if t is not type(None)),
+                annotation)
+    return (lambda text: text == "True") if base is bool else base
+
+
 @dataclass
 class TrialRecord:
-    """One (trial, condition) outcome; blank fields do not apply to the study."""
+    """One (trial, condition) outcome, and in field order the columns of the
+    records CSV; blank fields do not apply to the study."""
 
     study: str
     trial: int
@@ -217,40 +226,16 @@ class TrialRecord:
     failed: bool = False
     message: str = ""
 
-    CSV_FIELDS = ("study", "trial", "n_freqs", "n_rep", "sup_error", "nrmse",
-                  "pole_error", "noise_floor", "selected", "failed", "message")
-
     def to_csv_row(self) -> list:
-        def fmt(v):
-            if v is None:
-                return ""
-            if isinstance(v, float):
-                return f"{v:.17g}"
-            return str(v)
-        return [fmt(getattr(self, f)) for f in self.CSV_FIELDS]
+        return [_csv_text(getattr(self, f.name)) for f in fields(self)]
 
     @classmethod
     def from_csv_row(cls, row: dict) -> "TrialRecord":
-        def opt_int(v):
-            return int(v) if v not in ("", None) else None
-
-        def opt_float(v):
-            return float(v) if v not in ("", None) else None
-
-        return cls(
-            study=row["study"],
-            trial=int(row["trial"]),
-            n_freqs=opt_int(row["n_freqs"]),
-            n_rep=opt_int(row["n_rep"]),
-            sup_error=opt_float(row["sup_error"]),
-            nrmse=opt_float(row["nrmse"]),
-            pole_error=opt_float(row["pole_error"]),
-            noise_floor=opt_float(row["noise_floor"]),
-            selected=None if row["selected"] in ("", None)
-            else row["selected"] == "True",
-            failed=row["failed"] == "True",
-            message=row.get("message", ""),
-        )
+        """Inverse of ``to_csv_row`` on a ``csv.DictReader`` row; a blank or
+        missing column takes the field's default."""
+        hints = get_type_hints(cls)
+        return cls(**{f.name: _csv_parser(hints[f.name])(row[f.name])
+                      for f in fields(cls) if row.get(f.name) not in ("", None)})
 
 
 @dataclass
@@ -275,13 +260,12 @@ class StudyResult:
                "n_records": len(self.records),
                "n_failed": self.n_failed,
                "conditions": []}
-        keyfn = lambda r: (r.n_rep, r.n_freqs)
-        records = sorted(self.ok_records,
-                         key=lambda r: (r.n_rep if r.n_rep is not None else -1,
-                                        r.n_freqs if r.n_freqs is not None else -1))
-        for key, group in itertools.groupby(records, key=keyfn):
+        key = lambda r: (-1 if r.n_rep is None else r.n_rep,
+                         -1 if r.n_freqs is None else r.n_freqs)
+        for _, group in itertools.groupby(sorted(self.ok_records, key=key), key):
             group = list(group)
-            cond = {"n_rep": key[0], "n_freqs": key[1], "count": len(group)}
+            cond = {"n_rep": group[0].n_rep, "n_freqs": group[0].n_freqs,
+                    "count": len(group)}
             for metric in ("sup_error", "nrmse", "pole_error", "noise_floor"):
                 vals = np.array([getattr(r, metric) for r in group
                                  if getattr(r, metric) is not None], dtype=float)
@@ -323,20 +307,24 @@ class StudyResult:
             curve.setdefault(r.n_freqs, []).append(getattr(r, metric))
         return {nf: float(np.mean(v)) for nf, v in sorted(curve.items())}
 
+    def curves(self) -> dict:
+        """The curves a study reports, name -> {n_freqs: mean}: the sup-norm
+        error per repetition count for convergence, the pole error for
+        convergence and pole_rate; a noise study reports none."""
+        kind = self.config.kind
+        out = {f"sup_error_n_rep_{n}": self.mean_curve("sup_error", n_rep=n)
+               for n in self.config.n_rep_set if kind == CONVERGENCE}
+        if kind in (CONVERGENCE, POLE_RATE):
+            out["pole_error"] = self.mean_curve("pole_error")
+        return out
+
     def slopes(self) -> dict:
+        """Log-log fit of every reported curve with at least 3 points."""
         out = {}
-        if self.config.kind in (CONVERGENCE,):
-            for n_rep in self.config.n_rep_set:
-                curve = self.mean_curve("sup_error", n_rep=n_rep)
-                if len(curve) >= 3:
-                    s, b, se = fit_loglog_slope(list(curve.items()))
-                    out[f"sup_error_n_rep_{n_rep}"] = {
-                        "slope": s, "intercept": b, "stderr": se}
-        if self.config.kind in (CONVERGENCE, POLE_RATE):
-            curve = self.mean_curve("pole_error")
+        for name, curve in self.curves().items():
             if len(curve) >= 3:
                 s, b, se = fit_loglog_slope(list(curve.items()))
-                out["pole_error"] = {"slope": s, "intercept": b, "stderr": se}
+                out[name] = {"slope": s, "intercept": b, "stderr": se}
         return out
 
     # -- export -------------------------------------------------------------
@@ -344,9 +332,8 @@ class StudyResult:
     def write_records_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(TrialRecord.CSV_FIELDS)
-            for r in self.records:
-                writer.writerow(r.to_csv_row())
+            writer.writerow(f.name for f in fields(TrialRecord))
+            writer.writerows(r.to_csv_row() for r in self.records)
 
     @staticmethod
     def read_records_csv(path) -> list:
@@ -359,28 +346,16 @@ class StudyResult:
             json.dump(doc, fh, indent=2)
 
     def write_plot_data(self, directory) -> list:
-        """Two-column (n_freqs, mean) files per repetition count."""
-        import os
-
-        metric = "sup_error" if self.config.kind == CONVERGENCE else "nrmse"
+        """One two-column (n_freqs, mean) file per nonempty reported curve."""
         paths = []
-        for n_rep in self.config.n_rep_set:
-            curve = self.mean_curve(metric, n_rep=n_rep)
+        for name, curve in self.curves().items():
             if not curve:
                 continue
-            path = os.path.join(directory, f"{metric}_n_rep_{n_rep}.dat")
+            path = os.path.join(directory, f"{name}.dat")
             with open(path, "w") as fh:
                 for nf, val in curve.items():
                     fh.write(f"{nf} {val:.17g}\n")
             paths.append(path)
-        if self.config.kind in (CONVERGENCE, POLE_RATE):
-            curve = self.mean_curve("pole_error")
-            if curve:
-                path = os.path.join(directory, "pole_error.dat")
-                with open(path, "w") as fh:
-                    for nf, val in curve.items():
-                        fh.write(f"{nf} {val:.17g}\n")
-                paths.append(path)
         return paths
 
 
@@ -414,29 +389,34 @@ def fit_loglog_slope(points) -> tuple[float, float, float]:
 
 
 def min_max_pole_distance(estimated, reference) -> float:
-    """min over assignments of max_j |p_hat_sigma(j) - p_j|.
-
-    Exhaustive for up to 6 poles; larger sets fall back to the Hungarian
-    assignment on summed distances.
-    """
+    """min over assignments of max_j |p_hat_sigma(j) - p_j|: the smallest
+    pairwise distance at which every estimate can be matched to its own
+    reference pole; 0 for empty sets."""
     est = np.asarray(estimated, dtype=complex)
     ref = np.asarray(reference, dtype=complex)
     if len(est) != len(ref):
         raise InvalidSpecError("pole sets must have equal size")
-    n = len(ref)
-    if n == 0:
-        return 0.0
-    if n <= 6:
-        best = math.inf
-        for perm in itertools.permutations(range(n)):
-            d = max(abs(est[list(perm)][j] - ref[j]) for j in range(n))
-            best = min(best, d)
-        return float(best)
-    from scipy.optimize import linear_sum_assignment
+    diff = est[:, None] - ref[None, :]
+    dist = np.hypot(diff.real, diff.imag).tolist()
+    return next((d for d in sorted(itertools.chain(*dist))
+                 if _matches_every_row(dist, d)), 0.0)
 
-    cost = np.abs(est[:, None] - ref[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+
+def _matches_every_row(dist: list, bound: float) -> bool:
+    """Whether each row of a square distance table can take its own column
+    at most ``bound`` away (augmenting paths)."""
+    owner = [-1] * len(dist)  # the row each column is matched to
+
+    def augment(i, seen) -> bool:
+        for j, d in enumerate(dist[i]):
+            if d <= bound and j not in seen:
+                seen.add(j)
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(dist)))
 
 
 # ---------------------------------------------------------------------------
@@ -613,18 +593,18 @@ def _pin_blas_threads() -> None:
                 setter(1)
 
 
-def run_study(cfg: StudyConfig, jobs: int = 1,
-              skip_trials: Optional[set] = None) -> StudyResult:
-    """Run every trial of ``cfg`` not in ``skip_trials`` on ``jobs`` worker
-    processes; records come back in trial order whatever the worker count.
-    Each worker uses one BLAS thread."""
+def run_study(cfg: StudyConfig, jobs: int = 1, prior=()) -> StudyResult:
+    """Run the trials of ``cfg`` that ``prior`` has no record of on ``jobs``
+    worker processes, each with one BLAS thread; return ``prior`` and the
+    new records stably sorted by trial, so each trial keeps its runner's
+    order and a resumed study equals a fresh one."""
     cfg.validate()
     runner = _TRIAL_RUNNERS[cfg.kind]
     validation = _convergence_validation(cfg) if cfg.kind == CONVERGENCE else None
-    trials = [t for t in range(cfg.n_trials)
-              if not skip_trials or t not in skip_trials]
+    done = {r.trial for r in prior}
+    trials = [t for t in range(cfg.n_trials) if t not in done]
 
-    records: list = []
+    records = list(prior)
     if jobs <= 1 or len(trials) <= 1:
         for t in trials:
             records.extend(runner(cfg, t, validation))
@@ -634,6 +614,7 @@ def run_study(cfg: StudyConfig, jobs: int = 1,
         with ProcessPoolExecutor(max_workers=jobs,
                                  initializer=_pin_blas_threads) as pool:
             futures = [pool.submit(runner, cfg, t, validation) for t in trials]
-            for fut in futures:  # submission order keeps records deterministic
+            for fut in futures:
                 records.extend(fut.result())
+    records.sort(key=lambda r: r.trial)
     return StudyResult(config=cfg, records=records)

@@ -306,10 +306,9 @@ def generate_noise(spec: NoiseSpec, n: int) -> SignalRecord:
     e = rng.normal(0.0, np.sqrt(spec.variance), n)
     if spec.shaping_filter is None:
         return SignalRecord(samples=e)
-    from scipy.signal import lfilter
+    from .ratfun import filter_time  # ratfun imports this module
 
-    v = lfilter(spec.shaping_filter.b, spec.shaping_filter.a, e)
-    return SignalRecord(samples=np.asarray(v, dtype=float))
+    return filter_time(spec.shaping_filter, SignalRecord(samples=e))
 
 
 def generate_gaussian(n: int, variance: float = 1.0, seed: int = 0) -> SignalRecord:

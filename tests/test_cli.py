@@ -305,6 +305,58 @@ class TestStudy:
         assert resumed == fresh
         assert partial != fresh
 
+    @pytest.mark.parametrize("study", [
+        {"kind": "pole_rate", "system": {"preset": "example1"},
+         "n_freqs_grid": [64, 32]},
+        {"kind": "noise", "system": {"preset": "example2_polynomial"},
+         "n_rep_set": [2, 0, 1], "n_a": 2, "n_b": 2, "n_samples": 500},
+        {"kind": "convergence", "system": {"preset": "example1"},
+         "n_freqs_grid": [128, 64], "n_rep_set": [2, 1],
+         "validation_n_freqs": 128},
+    ], ids=["pole_rate-grid-64-32", "noise-n_rep-2-0-1",
+            "convergence-grid-128-64"])
+    def test_resume_equals_fresh_for_any_condition_order(self, tmp_path, out,
+                                                         study):
+        """Records, aggregates and plot data, byte for byte."""
+        cfg = write_json(tmp_path / "study.json", dict(
+            study, n_trials=3, base_seed=4, name="mixed"))
+        fresh, resumed = out / "fresh", out / "resumed"
+        assert main(["study", "--config", cfg, "--jobs", "1",
+                     "--out-dir", str(fresh)]) == 0
+        assert main(["study", "--config", cfg, "--trials", "1", "--jobs", "1",
+                     "--out-dir", str(resumed)]) == 0
+        assert main(["study", "--config", cfg, "--jobs", "2", "--resume",
+                     "--out-dir", str(resumed)]) == 0
+        names = sorted(p.name for p in fresh.iterdir()
+                       if not p.name.endswith("manifest.json"))
+        assert names == sorted(p.name for p in resumed.iterdir()
+                               if not p.name.endswith("manifest.json"))
+        assert ("pole_error.dat" in names) == (study["kind"] != "noise")
+        for name in names:
+            assert (resumed / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\npole_rate,0,", "\npole_rate,zero,"),
+        lambda text: text.replace("study,trial,", "study,trail,"),
+    ], ids=["non-integer-trial", "missing-trial-column"])
+    def test_resume_on_malformed_records_exits_2(self, tmp_path, out, capsys,
+                                                 edit):
+        cfg = write_json(tmp_path / "poles.json", {
+            "kind": "pole_rate", "system": {"preset": "example1"},
+            "n_trials": 2, "base_seed": 1, "n_freqs_grid": [32],
+            "name": "poles"})
+        assert main(["study", "--config", cfg, "--trials", "1", "--jobs", "1",
+                     "--out-dir", str(out)]) == 0
+        path = out / "poles_records.csv"
+        records = edit(path.read_text())
+        path.write_text(records)
+        capsys.readouterr()
+        assert main(["study", "--config", cfg, "--jobs", "1", "--resume",
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(path) in err[0], err
+        assert path.read_text() == records
+
     def test_resume_refuses_a_changed_config(self, tmp_path, out, capsys):
         cfg = write_json(tmp_path / "poles.json", {
             "kind": "pole_rate", "system": {"preset": "example1"},

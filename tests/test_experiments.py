@@ -1,5 +1,8 @@
+import csv
 import ctypes
+import itertools
 import json
+from collections import namedtuple
 from dataclasses import fields, replace
 
 import numpy as np
@@ -49,6 +52,9 @@ def tiny_convergence_config(**kw):
     return StudyConfig(**defaults)
 
 
+BlasThreads = namedtuple("BlasThreads", "trial getter threads")
+
+
 def blas_thread_counts(cfg, trial, validation):
     """A trial runner that reports, per loaded OpenBLAS, its thread count."""
     counts = []
@@ -58,7 +64,7 @@ def blas_thread_counts(cfg, trial, validation):
             getter = getattr(library, name, None)
             if getter is not None:
                 getter.argtypes, getter.restype = [], ctypes.c_int
-                counts.append((name, getter()))
+                counts.append(BlasThreads(trial, name, getter()))
     return counts
 
 
@@ -132,11 +138,21 @@ class TestPoleMetric:
         p = np.array([0.5, 0.2 + 0.3j, 0.2 - 0.3j])
         assert min_max_pole_distance(p, p[::-1]) == 0.0
 
-    def test_large_sets_use_assignment_fallback(self):
+    def test_large_set_exact_match_is_zero(self):
         rng = np.random.default_rng(1)
         ref = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         d = min_max_pole_distance(ref, ref)
         assert d < 1e-15
+
+    def test_seven_poles_equal_the_best_of_every_permutation(self):
+        """Here the assignment of least summed distance has a larger worst
+        distance than the best permutation."""
+        rng = np.random.default_rng(0)
+        ref = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        est = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        best = min(max(abs(est[perm[j]] - ref[j]) for j in range(7))
+                   for perm in itertools.permutations(range(7)))
+        assert min_max_pole_distance(est, ref) == best
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(InvalidSpecError):
@@ -183,16 +199,16 @@ class TestStudies:
         assert all(not r.failed for r in r1.records)
         assert all(r.sup_error > 0 and r.pole_error > 0 for r in r1.records)
 
-    def test_trial_order_independence_via_skip(self):
+    def test_trial_order_independence_via_prior(self):
+        """Trials run in separate calls, in either order, give the records
+        of one full run, in its order."""
         cfg = tiny_convergence_config(n_trials=3)
         full = run_study(cfg)
-        part1 = run_study(cfg, skip_trials={1, 2})
-        part2 = run_study(cfg, skip_trials={0})
-        merged = sorted(part1.records + part2.records,
-                        key=lambda r: (r.trial, r.n_freqs, r.n_rep))
-        reference = sorted(full.records,
-                           key=lambda r: (r.trial, r.n_freqs, r.n_rep))
-        assert merged == reference
+        first = run_study(replace(cfg, n_trials=1)).records
+        resumed = run_study(cfg, prior=first).records
+        assert resumed == full.records
+        later = [r for r in resumed if r.trial > 0]
+        assert run_study(cfg, prior=later).records == full.records
 
     def test_parallel_matches_serial(self):
         cfg = tiny_convergence_config(n_trials=2, n_freqs_grid=(170,))
@@ -211,7 +227,7 @@ class TestStudies:
         monkeypatch.setitem(experiments._TRIAL_RUNNERS, CONVERGENCE,
                             blas_thread_counts)
         counts = run_study(cfg, jobs=2).records
-        assert counts and all(n == 1 for _, n in counts), counts
+        assert counts and all(c.threads == 1 for c in counts), counts
 
     def test_nested_models_share_bank_outputs_exactly(self):
         cfg = tiny_convergence_config(n_trials=1, n_freqs_grid=(170, 341, 682),
@@ -259,6 +275,25 @@ class TestStudies:
         result.write_records_csv(path)
         back = StudyResult.read_records_csv(path)
         assert back == result.records
+
+    def test_records_csv_header_is_the_field_names(self, tmp_path):
+        path = tmp_path / "records.csv"
+        StudyResult(config=tiny_convergence_config(),
+                    records=[TrialRecord(CONVERGENCE, 0)]).write_records_csv(path)
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh))
+        assert header == [f.name for f in fields(TrialRecord)]
+
+    def test_records_csv_without_message_column_loads(self, tmp_path):
+        """Older records files end at the ``failed`` column."""
+        path = tmp_path / "records.csv"
+        path.write_text("study,trial,n_freqs,n_rep,sup_error,nrmse,pole_error,"
+                        "noise_floor,selected,failed\n"
+                        "noise,3,,2,,0.25,,0.125,True,False\n")
+        (record,) = StudyResult.read_records_csv(path)
+        assert record == TrialRecord(NOISE, 3, n_rep=2, nrmse=0.25,
+                                     noise_floor=0.125, selected=True)
+        assert record.message == ""
 
     def test_pole_rate_study_linear_truth_is_exact(self):
         """With an identity nonlinearity the FRF is exactly the linear block,
@@ -332,6 +367,23 @@ class TestStudies:
         assert len(paths) == 2  # sup_error for n_rep=1 plus pole_error
         data = np.loadtxt(paths[0])
         assert data.shape == (2, 2)
+
+    def test_plot_data_is_one_file_per_reported_curve(self, tmp_path):
+        """The curves with slopes are those with plot-data files; noise
+        studies report none."""
+        cfg = tiny_convergence_config(n_trials=1, n_freqs_grid=(170, 341, 682),
+                                      n_rep_set=(2, 1), validation_n_freqs=682)
+        result = run_study(cfg)
+        names = ["sup_error_n_rep_2", "sup_error_n_rep_1", "pole_error"]
+        assert list(result.curves()) == list(result.slopes()) == names
+        assert result.write_plot_data(tmp_path) \
+            == [str(tmp_path / f"{name}.dat") for name in names]
+
+        noise = run_study(StudyConfig(
+            kind=NOISE, system=example2_polynomial_system(), n_trials=1,
+            n_rep_set=(0, 1), n_a=2, n_b=2))
+        assert noise.curves() == {}
+        assert noise.write_plot_data(tmp_path / "none") == []
 
     def test_unknown_kind_rejected(self):
         for kind in ("banana", "model_select"):

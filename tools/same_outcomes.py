@@ -15,13 +15,22 @@ margin a change that moves results at rounding level keeps.  It also
 prints a digest per pool: the first 16 hex digits of the SHA-256 of the
 ``repr`` of every op's outcome (or of the exception it raised), in trial
 order.  Equal digests from two checkouts show that they give equal
-outcomes, whether or not those equal the stored references.  It exits 1 if
-any op raises or fails ``Workload.check``.
+outcomes, whether or not those equal the stored references.  Run without
+arguments, it also runs ``wiener-gobf study`` (in process, one job) on one
+small ascending-grid config per study kind and prints a digest of the
+bytes of the records CSV, aggregates JSON and plot-data files it writes, so
+equal digests also show that two checkouts write the same study files.  It
+exits 1 if any op raises or fails ``Workload.check``, or a study does not
+exit 0.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
@@ -35,6 +44,17 @@ import warnings  # noqa: E402
 import workloads  # noqa: E402
 
 METRICS = ("nrmse", "pole_error", "sup_error")
+
+# Two trials of each study kind, on grids small enough to run in seconds.
+STUDIES = {
+    "convergence": {"system": {"preset": "example1"},
+                    "n_freqs_grid": [64, 128, 256], "n_rep_set": [1, 2],
+                    "validation_n_freqs": 256},
+    "noise": {"system": {"preset": "example2_polynomial"},
+              "n_rep_set": [0, 1, 2], "n_a": 2, "n_b": 2},
+    "pole_rate": {"system": {"preset": "example1"},
+                  "n_freqs_grid": [32, 64, 128]},
+}
 
 
 def max_deviation(outcome: dict, ref: dict) -> tuple[dict, dict]:
@@ -92,6 +112,30 @@ def check_pool(name: str, pool: str) -> bool:
     return not failures
 
 
+def check_study(kind: str) -> bool:
+    """Run ``wiener-gobf study`` on the small config of one kind; print the
+    digest of every file it writes but the manifest, which holds the run
+    time; True when it exits 0."""
+    from wiener_gobf.cli import main as cli_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = os.path.join(tmp, "study.json"), os.path.join(tmp, "out")
+        with open(config, "w") as fh:
+            json.dump(dict(STUDIES[kind], kind=kind, n_trials=2, base_seed=1), fh)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["study", "--config", config, "--jobs", "1",
+                             "--out-dir", out])
+        names = sorted(n for n in os.listdir(out)
+                       if not n.endswith(".manifest.json"))
+        digest = hashlib.sha256()
+        for name in names:
+            with open(os.path.join(out, name), "rb") as fh:
+                digest.update(f"{name}\n".encode() + fh.read())
+    print(f"study/{kind}: exit {code}, files {', '.join(names)}; "
+          f"digest {digest.hexdigest()[:16]}", flush=True)
+    return code == 0
+
+
 def main(argv) -> int:
     names = argv[:1] or list(workloads.NAMES)
     pools = argv[1:2] or list(workloads.POOLS)
@@ -100,6 +144,9 @@ def main(argv) -> int:
     for name in names:
         for pool in pools:
             ok &= check_pool(name, pool)
+    if not argv:
+        for kind in STUDIES:
+            ok &= check_study(kind)
     return 0 if ok else 1
 
 
