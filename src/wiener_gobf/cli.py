@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: generate, simulate, identify, predict, study, scatter.  Every
-run writes a manifest next to its outputs so any result can be re-derived
-from config + seeds.  Exit codes: 0 success, 2 usage/config error,
-3 numerical/estimation failure.
+Subcommands: generate, simulate, identify, predict, study, scatter.  Each
+``cmd_*`` writes its outputs and returns ``(manifest_path, config, seeds,
+outputs)``.  ``main`` alone times the run and maps errors to exit codes; on
+success it writes the manifest, whose config and seeds re-derive any
+result, and prints the first output.  Exit codes: 0 success, 2
+usage/config error, 3 numerical/estimation failure.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,15 +37,14 @@ from .signals import (
     load_signal,
 )
 
-EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 # Failures of the computation itself, as opposed to bad input.
 NUMERICAL_ERRORS = (UnstableFilterError, SingularityError, RankDeficiencyError,
                     np.linalg.LinAlgError, EstimationError)
-# What parsing a model, signal or records file raises on bad content (JSON
-# syntax errors are ValueErrors).
+# What parsing a config, model, signal, records or manifest file raises on
+# bad content (JSON syntax errors are ValueErrors).
 MALFORMED_FILE_ERRORS = (LookupError, TypeError, ValueError)
 
 
@@ -53,32 +54,26 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass
-class RunManifest:
-    """Provenance for one command invocation, written atomically."""
+def _read_file(path, what: str, load):
+    """``load(path)``; a missing, unreadable or unparsable file exits 2
+    naming it."""
+    try:
+        return load(path)
+    except FileNotFoundError:
+        raise CliError(f"{what} file not found: {path}")
+    except OSError as exc:
+        raise CliError(f"{what} file {path} cannot be read: {exc.strerror}")
+    except MALFORMED_FILE_ERRORS as exc:
+        raise CliError(f"{what} file {path} is malformed: {exc!r}")
 
-    command: str
-    config: dict
-    seeds: dict
-    outputs: list = field(default_factory=list)
-    version: str = __version__
-    duration_s: float = 0.0
 
-    def write(self, path) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(asdict(self), fh, indent=2)
-        os.replace(tmp, path)
+def _load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _load_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config file {path} is not valid JSON: {exc}")
+    doc = _read_file(path, "config", _load_json)
     if not isinstance(doc, dict):
         raise CliError(f"config file {path} must hold a JSON object")
     return doc
@@ -111,8 +106,7 @@ class _GaussianConfig:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_generate(args) -> int:
-    start = time.time()
+def cmd_generate(args) -> tuple:
     doc = _load_config(args.config)
     name, spec_doc = _split_name(doc)
     kind = spec_doc.pop("kind", "multisine")
@@ -137,17 +131,11 @@ def cmd_generate(args) -> int:
     json_path = os.path.join(out, f"{name}.json")
     record.to_csv(csv_path)
     record.to_json(json_path, generator=generator)
-
-    RunManifest(command="generate", config=doc, seeds={"seed": spec.seed},
-                outputs=[csv_path, json_path],
-                duration_s=time.time() - start).write(
-        os.path.join(out, f"{name}.manifest.json"))
-    print(csv_path)
-    return EXIT_OK
+    return (os.path.join(out, f"{name}.manifest.json"), doc,
+            {"seed": spec.seed}, [csv_path, json_path])
 
 
-def cmd_simulate(args) -> int:
-    start = time.time()
+def cmd_simulate(args) -> tuple:
     doc = _load_config(args.config)
     name, system_doc = _split_name(doc)
     system = experiments.system_from_json(system_doc)
@@ -161,31 +149,18 @@ def cmd_simulate(args) -> int:
 
     x, y = pipeline.simulate(system, u)
 
-    outputs = []
-    y_path = os.path.join(out, f"{name}_y.csv")
-    y.to_csv(y_path)
-    outputs.append(y_path)
+    outputs = [os.path.join(out, f"{name}_y.csv")]
+    y.to_csv(outputs[0])
     if args.oracle:
-        x_path = os.path.join(out, f"{name}_x.csv")
-        x.to_csv(x_path)
-        outputs.append(x_path)
-
-    RunManifest(command="simulate", config=doc,
-                seeds={"noise_seed": system.output_noise.seed
-                       if system.output_noise else None},
-                outputs=outputs, duration_s=time.time() - start).write(
-        os.path.join(out, f"{name}_simulate.manifest.json"))
-    print(y_path)
-    return EXIT_OK
+        outputs.append(os.path.join(out, f"{name}_x.csv"))
+        x.to_csv(outputs[1])
+    noise = system.output_noise
+    return (os.path.join(out, f"{name}_simulate.manifest.json"), doc,
+            {"noise_seed": noise.seed if noise else None}, outputs)
 
 
 def _read_signal(path, args) -> SignalRecord:
-    if not os.path.exists(path):
-        raise CliError(f"signal file not found: {path}")
-    try:
-        record = load_signal(path)
-    except MALFORMED_FILE_ERRORS as exc:
-        raise CliError(f"signal file {path} is malformed: {exc!r}")
+    record = _read_file(path, "signal", load_signal)
     if not np.all(np.isfinite(record.samples)):
         raise CliError(f"signal file {path} has non-finite or unparsable samples")
     if record.samples.size == 0:
@@ -198,20 +173,16 @@ def _read_signal(path, args) -> SignalRecord:
     return record
 
 
-def cmd_identify(args) -> int:
-    start = time.time()
+def cmd_identify(args) -> tuple:
     doc = _load_config(args.config)
     name, cfg_doc = _split_name(doc)
     cfg = IdentifyConfig.from_json_dict(cfg_doc)
     u = _read_signal(args.u, args)
     y = _read_signal(args.y, args)
-    if len(u.samples) != len(y.samples):
-        raise CliError("input and output files have mismatched lengths")
-    out = _out_dir(args)
-    name = name or "model"
-
     model = pipeline.identify(u, y, cfg)
 
+    out = _out_dir(args)
+    name = name or "model"
     model_path = os.path.join(out, f"{name}.json")
     model.to_json(model_path)
 
@@ -233,44 +204,24 @@ def cmd_identify(args) -> int:
     report_path = os.path.join(out, f"{name}_report.json")
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2)
-
-    RunManifest(command="identify", config=doc, seeds={},
-                outputs=[model_path, report_path],
-                duration_s=time.time() - start).write(
-        os.path.join(out, f"{name}_identify.manifest.json"))
-    print(model_path)
-    return EXIT_OK
+    return (os.path.join(out, f"{name}_identify.manifest.json"), doc, {},
+            [model_path, report_path])
 
 
-def _read_model(path) -> WienerModel:
-    if not os.path.exists(path):
-        raise CliError(f"model file not found: {path}")
-    try:
-        return WienerModel.from_json(path)
-    except MALFORMED_FILE_ERRORS as exc:
-        raise CliError(f"model file {path} is malformed: {exc!r}")
-
-
-def cmd_predict(args) -> int:
-    start = time.time()
-    model = _read_model(args.model)
+def cmd_predict(args) -> tuple:
+    model = _read_file(args.model, "model", WienerModel.from_json)
     u = _read_signal(args.u, args)
     out = _out_dir(args)
     name = args.name or "prediction"
-    yhat = pipeline.predict(model, u)
     path = os.path.join(out, f"{name}.csv")
-    yhat.to_csv(path)
-    RunManifest(command="predict", config={"model": args.model}, seeds={},
-                outputs=[path], duration_s=time.time() - start).write(
-        os.path.join(out, f"{name}_predict.manifest.json"))
-    print(path)
-    return EXIT_OK
+    pipeline.predict(model, u).to_csv(path)
+    return (os.path.join(out, f"{name}_predict.manifest.json"),
+            {"model": args.model}, {}, [path])
 
 
-def cmd_scatter(args) -> int:
+def cmd_scatter(args) -> tuple:
     """Intermediate-signal scatter pairs (x_hat, y) for shape inspection."""
-    start = time.time()
-    model = _read_model(args.model)
+    model = _read_file(args.model, "model", WienerModel.from_json)
     u = _read_signal(args.u, args)
     y = _read_signal(args.y, args)
     out = _out_dir(args)
@@ -282,15 +233,11 @@ def cmd_scatter(args) -> int:
         fh.write("x_hat,y\n")
         for xh, yv in zip(x_hat, y.samples):
             fh.write(f"{xh:.17g},{yv:.17g}\n")
-    RunManifest(command="scatter", config={"model": args.model}, seeds={},
-                outputs=[path], duration_s=time.time() - start).write(
-        os.path.join(out, f"{name}_scatter.manifest.json"))
-    print(path)
-    return EXIT_OK
+    return (os.path.join(out, f"{name}_scatter.manifest.json"),
+            {"model": args.model}, {}, [path])
 
 
-def cmd_study(args) -> int:
-    start = time.time()
+def cmd_study(args) -> tuple:
     doc = _load_config(args.config)
     name, cfg_doc = _split_name(doc)
     if args.trials is not None:
@@ -307,10 +254,8 @@ def cmd_study(args) -> int:
     prior = []
     if args.resume and os.path.exists(records_path):
         _check_resumable(manifest_path, cfg)
-        try:
-            prior = experiments.StudyResult.read_records_csv(records_path)
-        except MALFORMED_FILE_ERRORS as exc:
-            raise CliError(f"records file {records_path} is malformed: {exc!r}")
+        prior = _read_file(records_path, "records",
+                           experiments.StudyResult.read_records_csv)
 
     result = experiments.run_study(cfg, jobs=args.jobs, prior=prior)
     if result.records and all(r.failed for r in result.records):
@@ -319,19 +264,15 @@ def cmd_study(args) -> int:
     result.write_records_csv(records_path)
     aggregates_path = os.path.join(out, f"{name}_aggregates.json")
     result.write_aggregates_json(aggregates_path)
-    plot_paths = result.write_plot_data(out)
-
-    RunManifest(command="study", config=cfg.to_json_dict(),
-                seeds={"base_seed": cfg.base_seed},
-                outputs=[records_path, aggregates_path] + plot_paths,
-                duration_s=time.time() - start).write(manifest_path)
-    print(records_path)
-    return EXIT_OK
+    plot_paths = result.write_plot_data(out, name)
+    return (manifest_path, cfg.to_json_dict(), {"base_seed": cfg.base_seed},
+            [records_path, aggregates_path] + plot_paths)
 
 
 def _check_resumable(manifest_path, cfg) -> None:
     """Refuse to add trials to records written under another config."""
-    old = _load_config(manifest_path).get("config")
+    old = _read_file(manifest_path, "manifest",
+                     lambda path: _load_json(path)["config"])
     if not isinstance(old, dict):
         raise CliError(f"cannot resume: {manifest_path} holds no study config")
     new = json.loads(json.dumps(cfg.to_json_dict()))
@@ -417,19 +358,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: on success write its manifest and print its first
+    output; otherwise print one error line.  Returns the exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
+    start = time.time()
     try:
-        return args.func(args)
+        manifest_path, config, seeds, outputs = args.func(args)
     except CliError as exc:
         error, code = exc, exc.code
     except NUMERICAL_ERRORS as exc:
         error, code = exc, EXIT_NUMERICAL
     except InvalidSpecError as exc:
         error, code = exc, EXIT_CONFIG
+    else:
+        manifest = {"command": args.command, "config": config, "seeds": seeds,
+                    "outputs": outputs, "version": __version__,
+                    "duration_s": time.time() - start}
+        tmp = f"{manifest_path}.tmp"
+        with open(tmp, "w") as fh:
+            json.dump(manifest, fh, indent=2)
+        os.replace(tmp, manifest_path)
+        print(outputs[0])
+        return 0
     print(f"error: {error}", file=sys.stderr)
     return code
 

@@ -169,6 +169,9 @@ class StudyConfig:
             raise InvalidSpecError("n_freqs_grid must be nonempty")
         if len(self.n_rep_set) == 0:
             raise InvalidSpecError("n_rep_set must be nonempty")
+        for key in ("n_freqs_grid", "n_rep_set"):
+            if len(set(getattr(self, key))) != len(getattr(self, key)):
+                raise InvalidSpecError(f"{key} must not repeat an entry")
         for n_rep in self.n_rep_set:
             self.identify_config(n_rep).validate()
 
@@ -345,13 +348,14 @@ class StudyResult:
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)
 
-    def write_plot_data(self, directory) -> list:
-        """One two-column (n_freqs, mean) file per nonempty reported curve."""
+    def write_plot_data(self, directory, name) -> list:
+        """One two-column (n_freqs, mean) file ``<name>_<curve>.dat`` per
+        nonempty reported curve of the study ``name``."""
         paths = []
-        for name, curve in self.curves().items():
+        for curve_name, curve in self.curves().items():
             if not curve:
                 continue
-            path = os.path.join(directory, f"{name}.dat")
+            path = os.path.join(directory, f"{name}_{curve_name}.dat")
             with open(path, "w") as fh:
                 for nf, val in curve.items():
                     fh.write(f"{nf} {val:.17g}\n")
@@ -520,12 +524,12 @@ def _noise_trial(cfg: StudyConfig, trial: int, validation) -> list:
         derive_seed(cfg.base_seed, "trial", trial, "e-val"))
 
     _, y_est = simulate(sys_est, u_est)
-    _, y_val = simulate(sys_val, u_val)
-    _, y_val_clean = simulate(sys_val, u_val, include_noise=False)
+    x_val, y_val = simulate(sys_val, u_val)
+    y_val_clean = sys_val.f.apply(x_val.samples)
 
     variance = cfg.system.output_noise.variance if cfg.system.output_noise else 0.0
-    floor = float(np.sqrt(variance) / rms(y_val_clean.samples)) \
-        if rms(y_val_clean.samples) > 0 else 0.0
+    floor = float(np.sqrt(variance) / rms(y_val_clean)) \
+        if rms(y_val_clean) > 0 else 0.0
 
     records = []
     scores = {}

@@ -331,7 +331,7 @@ class TestStudy:
                        if not p.name.endswith("manifest.json"))
         assert names == sorted(p.name for p in resumed.iterdir()
                                if not p.name.endswith("manifest.json"))
-        assert ("pole_error.dat" in names) == (study["kind"] != "noise")
+        assert ("mixed_pole_error.dat" in names) == (study["kind"] != "noise")
         for name in names:
             assert (resumed / name).read_bytes() == (fresh / name).read_bytes(), name
 
@@ -376,6 +376,24 @@ class TestStudy:
                      "--out-dir", str(out)]) == 2
         assert (out / "poles_records.csv").read_text() == records
 
+    def test_named_studies_share_an_out_dir(self, tmp_path, out):
+        """Each study's manifest lists plot data that exists and holds its
+        own curve, not that of a study written later."""
+        grids = {"a": [32, 64], "b": [40, 80]}
+        for name, grid in grids.items():
+            cfg = write_json(tmp_path / f"{name}.json", {
+                "kind": "pole_rate", "system": {"preset": "example1"},
+                "n_trials": 1, "base_seed": 1, "n_freqs_grid": grid,
+                "name": name})
+            assert main(["study", "--config", cfg, "--jobs", "1",
+                         "--out-dir", str(out)]) == 0
+        for name, grid in grids.items():
+            manifest = json.loads(
+                (out / f"{name}_study.manifest.json").read_text())
+            plots = [p for p in manifest["outputs"] if p.endswith(".dat")]
+            assert plots == [str(out / f"{name}_pole_error.dat")]
+            assert np.loadtxt(plots[0])[:, 0].tolist() == grid
+
     def test_env_var_out_dir(self, tmp_path, out, monkeypatch):
         monkeypatch.setenv("WIENER_GOBF_OUT_DIR", str(out))
         cfg = self.study_config(tmp_path)
@@ -396,6 +414,8 @@ MALFORMED_INPUT_CASES = {
         ["predict", "--model", "{no_poles}", "--u", "{u}"], 2, "base_poles"),
     "predict-non-json-model": (
         ["predict", "--model", "{garbage}", "--u", "{u}"], 2, "model file"),
+    "predict-directory-model": (
+        ["predict", "--model", "{directory}", "--u", "{u}"], 2, "model file"),
     "scatter-non-json-model": (
         ["scatter", "--model", "{garbage}", "--u", "{u}", "--y", "{u}"], 2,
         "model file"),
@@ -504,6 +524,10 @@ MALFORMED_INPUT_CASES = {
     "identify-string-samples-signal": (
         ["identify", "--config", "{identify}", "--u", "{string_samples}",
          "--y", "{string_samples}"], 2, "'samples'"),
+    "study-repeated-n_rep_set": (["study", "--config", "{study_n_rep_twice}"],
+                                 2, "n_rep_set"),
+    "study-repeated-n_freqs_grid": (
+        ["study", "--config", "{study_n_freqs_twice}"], 2, "n_freqs_grid"),
 }
 
 # Options a subcommand does not take: argparse rejects them with exit 2.
@@ -557,6 +581,7 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
     files = {
         "u": gen_multisine(tmp_path, out, n=256, nf=32),
         "garbage": garbage,
+        "directory": tmp_path,
         "non_finite": non_finite,
         "empty_csv": empty_csv,
         "empty_json": write_json(tmp_path / "empty.json", {"samples": []}),
@@ -604,6 +629,13 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
             "period_samples": 3}),
         "string_samples": write_json(tmp_path / "string_samples.json", {
             "samples": ["0.5", "1", "-2", "3"]}),
+        "study_n_rep_twice": write_json(tmp_path / "study_n_rep_twice.json", {
+            "kind": "noise", "system": {"preset": "example2_polynomial"},
+            "n_trials": 1, "n_rep_set": [1, 1], "n_a": 2, "n_b": 2}),
+        "study_n_freqs_twice": write_json(
+            tmp_path / "study_n_freqs_twice.json", {
+                "kind": "pole_rate", "system": "example1", "n_trials": 1,
+                "n_freqs_grid": [32, 32]}),
         "study_n_a": write_json(tmp_path / "study_n_a.json", {
             "kind": "pole_rate", "system": "example1", "n_trials": 1,
             "n_freqs_grid": [32], "n_a": -1}),
@@ -646,6 +678,69 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
     assert proc.returncode == code, proc.stderr
     assert message in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+# Each command once: argument template (placeholders name the files
+# ``run_contract_inputs`` writes) and the manifest it documents.
+RUN_CONTRACT_CASES = {
+    "generate": (["generate", "--config", "{gen}"], "sig.manifest.json"),
+    "simulate": (["simulate", "--config", "{system}", "--input", "{u}",
+                  "--oracle"], "ex1_simulate.manifest.json"),
+    "identify": (["identify", "--config", "{identify}", "--u", "{u}", "--y",
+                  "{y}"], "m_identify.manifest.json"),
+    "predict": (["predict", "--model", "{model}", "--u", "{u}", "--name",
+                 "pred"], "pred_predict.manifest.json"),
+    "scatter": (["scatter", "--model", "{model}", "--u", "{u}", "--y", "{y}",
+                 "--name", "sc"], "sc_scatter.manifest.json"),
+    "study": (["study", "--config", "{study}", "--jobs", "1"],
+              "poles_study.manifest.json"),
+}
+MANIFEST_KEYS = ["command", "config", "seeds", "outputs", "version",
+                 "duration_s"]
+
+
+def run_contract_inputs(tmp_path):
+    """Configs, signals and a model in their own directory, so a command's
+    out-dir holds only what that command writes."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    u_path = TestScatter.identify_model(tmp_path, inputs, n=256, nf=32)
+    return {
+        "u": u_path, "y": inputs / "ex1_y.csv", "model": inputs / "m.json",
+        "system": tmp_path / "sys.json", "identify": tmp_path / "id.json",
+        "gen": write_json(tmp_path / "sig.json", {
+            "kind": "gaussian", "n_samples": 64, "seed": 2, "name": "sig"}),
+        "study": write_json(tmp_path / "poles.json", {
+            "kind": "pole_rate", "system": {"preset": "example1"},
+            "n_trials": 1, "n_freqs_grid": [32, 64], "name": "poles"}),
+    }
+
+
+@pytest.mark.parametrize("command", sorted(RUN_CONTRACT_CASES))
+def test_run_contract(command, tmp_path, out, capsys):
+    """Exit 0, stdout the first output, and a manifest at its documented
+    name, with the documented keys in order, listing what the command
+    wrote: its outputs, and nothing else is left in the out-dir."""
+    template, manifest_name = RUN_CONTRACT_CASES[command]
+    files = run_contract_inputs(tmp_path)
+    capsys.readouterr()
+    argv = [arg.format(**files) for arg in template] + ["--out-dir", str(out)]
+    assert main(argv) == 0
+    manifest = json.loads((out / manifest_name).read_text())
+    assert list(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == command
+    assert manifest["version"] == wiener_gobf.__version__
+    assert capsys.readouterr().out == manifest["outputs"][0] + "\n"
+    assert sorted(os.listdir(out)) == sorted(
+        [manifest_name] + [os.path.basename(p) for p in manifest["outputs"]])
+    assert all(os.path.dirname(p) == str(out) for p in manifest["outputs"])
+
+
+def test_failed_run_writes_no_manifest(tmp_path, out):
+    files = run_contract_inputs(tmp_path)
+    assert main(["predict", "--model", str(tmp_path / "missing.json"),
+                 "--u", str(files["u"]), "--out-dir", str(out)]) == 2
+    assert os.listdir(out) == []
 
 
 def loads_scipy_signal(*commands):

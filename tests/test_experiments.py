@@ -363,8 +363,9 @@ class TestStudies:
     def test_plot_data_files(self, tmp_path):
         cfg = tiny_convergence_config()
         result = run_study(cfg)
-        paths = result.write_plot_data(tmp_path)
-        assert len(paths) == 2  # sup_error for n_rep=1 plus pole_error
+        paths = result.write_plot_data(tmp_path, "tiny")
+        assert paths == [str(tmp_path / "tiny_sup_error_n_rep_1.dat"),
+                         str(tmp_path / "tiny_pole_error.dat")]
         data = np.loadtxt(paths[0])
         assert data.shape == (2, 2)
 
@@ -376,14 +377,14 @@ class TestStudies:
         result = run_study(cfg)
         names = ["sup_error_n_rep_2", "sup_error_n_rep_1", "pole_error"]
         assert list(result.curves()) == list(result.slopes()) == names
-        assert result.write_plot_data(tmp_path) \
-            == [str(tmp_path / f"{name}.dat") for name in names]
+        assert result.write_plot_data(tmp_path, "conv") \
+            == [str(tmp_path / f"conv_{name}.dat") for name in names]
 
         noise = run_study(StudyConfig(
             kind=NOISE, system=example2_polynomial_system(), n_trials=1,
             n_rep_set=(0, 1), n_a=2, n_b=2))
         assert noise.curves() == {}
-        assert noise.write_plot_data(tmp_path / "none") == []
+        assert noise.write_plot_data(tmp_path / "none", "noise") == []
 
     def test_unknown_kind_rejected(self):
         for kind in ("banana", "model_select"):

@@ -19,9 +19,16 @@ outcomes, whether or not those equal the stored references.  Run without
 arguments, it also runs ``wiener-gobf study`` (in process, one job) on one
 small ascending-grid config per study kind and prints a digest of the
 bytes of the records CSV, aggregates JSON and plot-data files it writes, so
-equal digests also show that two checkouts write the same study files.  It
-exits 1 if any op raises or fails ``Workload.check``, or a study does not
-exit 0.
+equal digests also show that two checkouts write the same study files.
+Run without arguments, it last runs a fixed ``wiener-gobf`` session (in
+process) in a temporary directory: generate, simulate, identify, predict
+and scatter, and a ``predict`` of a missing model.  It prints one digest of
+each command's exit code, stdout and stderr and of the bytes of every file
+in the directory afterwards, manifests without their ``duration_s`` and
+the directory's path replaced by a fixed token, so equal digests show that
+two checkouts write the same CLI files.  It exits 1 if any op raises or
+fails ``Workload.check``, a study does not exit 0, or a session command
+does not exit as expected.
 """
 
 import contextlib
@@ -55,6 +62,43 @@ STUDIES = {
     "pole_rate": {"system": {"preset": "example1"},
                   "n_freqs_grid": [32, 64, 128]},
 }
+
+
+# The CLI session: configs written first, then (argv, expected exit code);
+# "{tmp}" is the session's directory.
+SESSION_CONFIGS = {
+    "cfg_ms.json": {"kind": "multisine", "n_samples": 1020, "n_freqs": 170,
+                    "seed": 1, "name": "u"},
+    "cfg_gauss.json": {"kind": "gaussian", "n_samples": 2000, "name": "g"},
+    "cfg_ex1.json": {"g": {"b": [1.0, 3.0, 3.0, 1.0],
+                           "a": [1.0, -2.1, 1.9, -0.7]},
+                     "nonlinearity": {"kind": "polynomial",
+                                      "coefficients": [0.0, 1.0, 0.8, 0.7]},
+                     "name": "ex1"},
+    "cfg_ex2.json": {"preset": "example2_polynomial", "name": "ex2"},
+    "cfg_periodic.json": {"n_a": 3, "n_b": 3, "n_rep": 2, "degree": 3,
+                          "name": "mp"},
+    "cfg_welch.json": {"n_a": 2, "n_b": 2, "n_rep": 1, "degree": 3,
+                       "welch_segment": 250, "name": "mw"},
+}
+SESSION = [
+    (["generate", "--config", "{tmp}/cfg_ms.json"], 0),
+    (["generate", "--config", "{tmp}/cfg_gauss.json", "--seed", "4"], 0),
+    (["simulate", "--config", "{tmp}/cfg_ex1.json", "--input", "{tmp}/u.json",
+      "--oracle"], 0),
+    (["simulate", "--config", "{tmp}/cfg_ex2.json", "--input", "{tmp}/g.csv",
+      "--seed", "9"], 0),
+    (["identify", "--config", "{tmp}/cfg_periodic.json", "--u", "{tmp}/u.csv",
+      "--y", "{tmp}/ex1_y.csv", "--period", "1020", "--validate-u",
+      "{tmp}/u.json", "--validate-y", "{tmp}/ex1_y.csv"], 0),
+    (["identify", "--config", "{tmp}/cfg_welch.json", "--u", "{tmp}/g.csv",
+      "--y", "{tmp}/ex2_y.csv"], 0),
+    (["predict", "--model", "{tmp}/mp.json", "--u", "{tmp}/u.json",
+      "--name", "pred"], 0),
+    (["scatter", "--model", "{tmp}/mp.json", "--u", "{tmp}/u.json",
+      "--y", "{tmp}/ex1_y.csv", "--period", "1020", "--name", "sc"], 0),
+    (["predict", "--model", "{tmp}/missing.json", "--u", "{tmp}/u.json"], 2),
+]
 
 
 def max_deviation(outcome: dict, ref: dict) -> tuple[dict, dict]:
@@ -136,6 +180,40 @@ def check_study(kind: str) -> bool:
     return code == 0
 
 
+def check_cli_session() -> bool:
+    """Run ``SESSION`` in a temporary directory; print its exit codes and
+    digest; True when every command exits as expected."""
+    from wiener_gobf.cli import main as cli_main
+
+    digest, codes = hashlib.sha256(), []
+    with tempfile.TemporaryDirectory() as tmp:
+        def fixed(text: str) -> bytes:
+            return text.replace(tmp, "{tmp}").encode()
+
+        for name, doc in SESSION_CONFIGS.items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                json.dump(doc, fh)
+        for template, _ in SESSION:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main([arg.format(tmp=tmp) for arg in template]
+                                + ["--out-dir", tmp])
+            codes.append(code)
+            digest.update(fixed(f"{template}\n{code}\n{out.getvalue()}\n"
+                                f"{err.getvalue()}\n"))
+        for name in sorted(os.listdir(tmp)):
+            with open(os.path.join(tmp, name)) as fh:
+                text = fh.read()
+            if name.endswith(".manifest.json"):
+                manifest = json.loads(text)
+                del manifest["duration_s"]
+                text = json.dumps(manifest, indent=2)
+            digest.update(fixed(f"{name}\n{text}\n"))
+    print(f"cli: exits {' '.join(map(str, codes))}; "
+          f"digest {digest.hexdigest()[:16]}", flush=True)
+    return codes == [code for _, code in SESSION]
+
+
 def main(argv) -> int:
     names = argv[:1] or list(workloads.NAMES)
     pools = argv[1:2] or list(workloads.POOLS)
@@ -147,6 +225,7 @@ def main(argv) -> int:
     if not argv:
         for kind in STUDIES:
             ok &= check_study(kind)
+        ok &= check_cli_session()
     return 0 if ok else 1
 
 
