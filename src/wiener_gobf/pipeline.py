@@ -34,8 +34,9 @@ class StaticNonlinearity:
 
     def __post_init__(self):
         if self.kind == POLYNOMIAL:
-            if self.coefficients is None:
-                raise InvalidSpecError("polynomial nonlinearity needs coefficients")
+            if self.coefficients is None or np.size(self.coefficients) == 0:
+                raise InvalidSpecError(
+                    "polynomial nonlinearity needs a non-empty 'coefficients'")
             object.__setattr__(self, "coefficients",
                                np.asarray(self.coefficients, dtype=float))
         elif self.kind == SATURATION:

@@ -262,15 +262,17 @@ class NoiseSpec:
 
     ``shaping_filter`` must be monic (leading numerator and denominator
     coefficients equal to 1) and stable; ``None`` means the identity filter.
+    Both are checked when the spec is built, whatever the variance.
     """
 
     variance: float
     shaping_filter: Optional["RationalTF"] = None
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.variance < 0:
-            raise InvalidSpecError("noise variance must be >= 0")
+    def __post_init__(self):
+        if not self.variance >= 0:
+            raise InvalidSpecError(
+                f"noise 'variance' must be >= 0, not {self.variance!r}")
         h = self.shaping_filter
         if h is None:
             return
@@ -299,7 +301,6 @@ def generate_noise(spec: NoiseSpec, n: int) -> SignalRecord:
     """Draw n samples of v = H(q) e with e i.i.d. N(0, variance)."""
     if n < 1:
         raise InvalidSpecError("n must be >= 1")
-    spec.validate()
     if spec.variance == 0.0:
         return SignalRecord(samples=np.zeros(n))
     rng = derive_rng(spec.seed, "noise")

@@ -528,6 +528,17 @@ MALFORMED_INPUT_CASES = {
                                  2, "n_rep_set"),
     "study-repeated-n_freqs_grid": (
         ["study", "--config", "{study_n_freqs_twice}"], 2, "n_freqs_grid"),
+    "simulate-empty-coefficients": (
+        ["simulate", "--config", "{empty_coefficients}", "--input", "{u}"], 2,
+        "'coefficients'"),
+    "simulate-negative-noise-variance": (
+        ["simulate", "--config", "{negative_variance}", "--input", "{u}"], 2,
+        "'variance'"),
+    "study-negative-noise-variance": (
+        ["study", "--config", "{study_negative_variance}"], 2, "'variance'"),
+    "simulate-noiseless-unstable-shaping-filter": (
+        ["simulate", "--config", "{unstable_shaping}", "--input", "{u}"], 3,
+        "unit circle"),
 }
 
 # Options a subcommand does not take: argparse rejects them with exit 2.
@@ -645,6 +656,21 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
             "samples": [0.5] * 256, "periodic": True, "period_samples": -2}),
         "periodic_empty": write_json(tmp_path / "periodic_empty.json", {
             "samples": [], "periodic": True}),
+        "empty_coefficients": write_json(tmp_path / "empty_coefficients.json", {
+            "g": {"b": [1.0], "a": [1.0, -0.5]},
+            "nonlinearity": {"kind": "polynomial", "coefficients": []}}),
+        "negative_variance": write_json(
+            tmp_path / "negative_variance.json",
+            dict(IDENTITY_SYSTEM, noise={"variance": -1, "seed": 1})),
+        "unstable_shaping": write_json(
+            tmp_path / "unstable_shaping.json",
+            dict(IDENTITY_SYSTEM, noise={
+                "variance": 0, "shaping_filter": {"b": [1.0], "a": [1.0, -1.5]}})),
+        "study_negative_variance": write_json(
+            tmp_path / "study_negative_variance.json", {
+                "kind": "noise", "n_trials": 1, "n_rep_set": [1],
+                "system": dict(IDENTITY_SYSTEM,
+                               noise={"variance": -1, "seed": 1})}),
     }
     for key, model in {
             "poly_basis": static_model(basis="legendre"),

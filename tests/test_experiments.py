@@ -2,6 +2,9 @@ import csv
 import ctypes
 import itertools
 import json
+import os
+import subprocess
+import sys
 from collections import namedtuple
 from dataclasses import fields, replace
 
@@ -10,18 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wiener_gobf
 from wiener_gobf import experiments
 from wiener_gobf.errors import InvalidSpecError
 from wiener_gobf.experiments import (
     CONVERGENCE,
+    EX2_POLYNOMIAL_COEFFICIENTS,
     NOISE,
     POLE_RATE,
     StudyConfig,
     StudyResult,
     TrialRecord,
     example1_system,
+    example2_g,
     example2_polynomial_system,
-    example2_polynomial_truth_coefficients,
     example2_system,
     fit_loglog_slope,
     min_max_pole_distance,
@@ -40,8 +45,8 @@ from wiener_gobf.pipeline import (
     sup_error,
 )
 from wiener_gobf.polymodel import fit_poly_model
-from wiener_gobf.ratfun import RationalTF, poles
-from wiener_gobf.signals import MultisineSpec
+from wiener_gobf.ratfun import RationalTF, filter_time, poles
+from wiener_gobf.signals import MultisineSpec, derive_seed, generate_gaussian
 
 
 def tiny_convergence_config(**kw):
@@ -171,12 +176,36 @@ class TestSystems:
         np.testing.assert_allclose(f.apply(np.array([-2.0, 0.0, 2.0])),
                                    [-0.4, 0.0, 0.2])
 
-    def test_polynomial_truth_is_cubic_and_deterministic(self):
-        g1 = example2_polynomial_truth_coefficients()
-        g2 = example2_polynomial_truth_coefficients()
-        assert g1 == g2
-        assert len(g1) == 4
-        assert abs(g1[1]) > 0.1  # odd content present
+    def test_polynomial_coefficients_are_the_best_cubic(self):
+        """The preset's constant is the least-squares cubic of the saturation
+        on 200000 samples of x = G u; another BLAS may round the fit
+        differently, so equality is to rounding, not bit for bit."""
+        u = generate_gaussian(200_000, variance=1.0,
+                              seed=derive_seed(0x5E2, "poly-truth-input"))
+        x = filter_time(example2_g(), u).samples
+        y = np.clip(x, -0.4, 0.2)
+        psi = np.vander(x, 4, increasing=True)
+        gamma, *_ = np.linalg.lstsq(psi, y, rcond=None)
+        np.testing.assert_allclose(EX2_POLYNOMIAL_COEFFICIENTS, gamma,
+                                   rtol=1e-12, atol=0)
+        assert np.array_equal(example2_polynomial_system().f.coefficients,
+                              EX2_POLYNOMIAL_COEFFICIENTS)
+
+    def test_polynomial_preset_leaves_scipy_signal_unloaded(self):
+        """Building the preset, alone or as a study's system, filters nothing."""
+        script = ("import sys\n"
+                  "import wiener_gobf\n"
+                  "from wiener_gobf import experiments\n"
+                  "experiments.example2_polynomial_system()\n"
+                  "experiments.StudyConfig.from_json_dict({'kind': 'noise', "
+                  "'n_trials': 1, 'system': {'preset': 'example2_polynomial'}})\n"
+                  "print('scipy.signal' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(wiener_gobf.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1] == "False"
 
     def test_polynomial_system_carries_noise_spec(self):
         system = example2_polynomial_system(noise_variance=0.01, noise_seed=3)
