@@ -94,9 +94,5 @@ class RepeatedPoleWarning(UserWarning):
     """Estimated poles are (nearly) repeated; rate guarantees assume distinct poles."""
 
 
-class IllConditionedBasisWarning(UserWarning):
-    """The projection basis is numerically ill conditioned."""
-
-
 class RankDeficiencyWarning(UserWarning):
     """A least-squares problem was rank deficient; minimum-norm solution returned."""

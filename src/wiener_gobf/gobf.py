@@ -13,18 +13,17 @@ are orthonormal as well.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedBasisWarning, InvalidSpecError, UnstableFilterError
-from .ratfun import RationalTF, freq_response
+from .errors import InvalidSpecError, UnstableFilterError
+from .polymodel import fit_ls
+from .ratfun import RationalTF, filter_time
 from .signals import SignalRecord, dft
 
 _REAL_POLE_TOL = 1e-12
-_PROJECTION_GRID = 4096
-_CONDITION_WARN = 1e10
+_PROJECTION_PERIOD = 8192
 
 
 def _is_real_pole(p: complex) -> bool:
@@ -81,6 +80,8 @@ class GobfBank:
         base = np.atleast_1d(np.asarray(self.base_poles, dtype=complex))
         if self.n_rep < 0:
             raise InvalidSpecError("n_rep must be >= 0")
+        if not np.all(np.isfinite(base)):
+            raise InvalidSpecError("bank poles must be finite")
         if self.n_rep > 0:
             if np.any(np.abs(base) >= 1.0):
                 raise UnstableFilterError(
@@ -156,18 +157,8 @@ def _cascade(seq: np.ndarray, z: np.ndarray, read):
         running = running * (1.0 - np.conj(xi) * z) / (z - xi)
 
 
-def _complex_columns(bank: GobfBank, z: np.ndarray) -> np.ndarray:
-    """F_1..F_n evaluated at arbitrary complex points."""
-    z = np.asarray(z, dtype=complex)
-    seq = bank.pole_sequence
-    cols = np.empty((len(z), len(seq)), dtype=complex)
-    for l, col in _cascade(seq, z, range(len(seq))):
-        cols[:, l] = col
-    return cols
-
-
 def _read_columns(seq: np.ndarray) -> list[int]:
-    """Columns ``_recombine_real`` reads: each real pole and the first
+    """Columns ``bank_outputs`` filters: each real pole and the first
     member of each conjugate pair."""
     read, l = [], 0
     while l < len(seq):
@@ -177,42 +168,22 @@ def _read_columns(seq: np.ndarray) -> list[int]:
 
 
 def _recombine_pair(xi: complex, f: np.ndarray, fbar: np.ndarray) -> np.ndarray:
-    """Whitened [Re, Im] columns of a conjugate pair from its first member
-    ``f``; ``fbar`` holds conj(f(conj(.))) on the same grid, which equals the
-    conjugate-coefficient function evaluated at the grid."""
+    """Whitened [Re, Im] columns of a conjugate pair from its first member's
+    output ``f``; ``fbar`` is the conjugate-coefficient output, conj(f)."""
     re = (f + fbar) / np.sqrt(2.0)
     im = (f - fbar) / (np.sqrt(2.0) * 1j)
     return np.column_stack([re, im]) @ pair_whitening(xi)
 
 
-def _recombine_real(bank: GobfBank, raw: np.ndarray, raw_conj: np.ndarray) -> np.ndarray:
-    """Map complex basis columns to real-coefficient columns: real poles pass
-    through, conjugate pairs become ``_recombine_pair`` of their first member."""
+def bank_frequency_matrix(bank: GobfBank, omegas) -> np.ndarray:
+    """Entry (k, l) = F_l(e^{j omega_k}) of the complex functions; column 0
+    is F_0."""
+    z = np.exp(1j * np.atleast_1d(np.asarray(omegas, dtype=float)))
     seq = bank.pole_sequence
-    out = np.empty_like(raw)
-    for l in _read_columns(seq):
-        if _is_real_pole(seq[l]):
-            out[:, l] = raw[:, l]
-        else:
-            out[:, l:l + 2] = _recombine_pair(seq[l], raw[:, l], raw_conj[:, l])
+    out = np.ones((len(z), 1 + len(seq)), dtype=complex)
+    for l, col in _cascade(seq, z, range(len(seq))):
+        out[:, 1 + l] = col
     return out
-
-
-def bank_frequency_matrix(bank: GobfBank, omegas,
-                          real_outputs: bool = False) -> np.ndarray:
-    """Entry (k, l) = F_l(e^{j omega_k}); column 0 is F_0.
-
-    With ``real_outputs`` the dynamic columns are the real-coefficient
-    recombination actually used for model channels (still complex-valued on
-    the grid, but conjugate-symmetric in frequency).
-    """
-    om = np.atleast_1d(np.asarray(omegas, dtype=float))
-    z = np.exp(1j * om)
-    raw = _complex_columns(bank, z)
-    if real_outputs and bank.n_dynamic > 0:
-        raw_conj = np.conj(_complex_columns(bank, np.conj(z)))
-        raw = _recombine_real(bank, raw, raw_conj)
-    return np.hstack([np.ones((len(z), 1), dtype=complex), raw])
 
 
 def _filtered_columns(bank: GobfBank, u: SignalRecord):
@@ -269,11 +240,24 @@ def bank_outputs(bank: GobfBank, u: SignalRecord) -> np.ndarray:
 # Diagnostics: Gram matrix, decay factor, series expansion
 # ---------------------------------------------------------------------------
 
+def _unit_impulse(n: int) -> SignalRecord:
+    """One period of a unit impulse.  Through ``bank_outputs`` it gives each
+    real model channel's periodic impulse response, whose DFT is the
+    channel's frequency response on the n-point grid."""
+    return SignalRecord(np.eye(1, n)[0], periodic=True)
+
+
 def gram_matrix(bank: GobfBank, n_points: int = 100_000,
                 real_outputs: bool = False) -> np.ndarray:
-    """Unit-circle Gram <F_a, F_b> by trapezoidal quadrature on n_points."""
-    om = 2.0 * np.pi * np.arange(n_points) / n_points
-    f = bank_frequency_matrix(bank, om, real_outputs=real_outputs)
+    """Unit-circle Gram <F_a, F_b> by trapezoidal quadrature on n_points.
+
+    With ``real_outputs`` the Gram of the real model channels, from their
+    periodic impulse responses (by Parseval the same quadrature).
+    """
+    if real_outputs:
+        x = bank_outputs(bank, _unit_impulse(n_points))
+        return x.T @ x
+    f = bank_frequency_matrix(bank, 2.0 * np.pi * np.arange(n_points) / n_points)
     return (f.conj().T @ f) / n_points
 
 
@@ -304,36 +288,22 @@ class ExpansionResult:
     residual_by_rep: list
 
 
-def _project_once(bank: GobfBank, response: np.ndarray, om: np.ndarray):
-    basis = bank_frequency_matrix(bank, om, real_outputs=True)
-    stacked = np.vstack([basis.real, basis.imag])
-    rhs = np.concatenate([response.real, response.imag])
-    if stacked.shape[1] > 0:
-        cond = np.linalg.cond(stacked)
-        if cond > _CONDITION_WARN:
-            warnings.warn(f"projection basis condition number {cond:.2e}",
-                          IllConditionedBasisWarning)
-    alpha, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-    residual = float(np.max(np.abs(response - basis @ alpha)))
-    return alpha, residual
-
-
 def project_expansion(target: RationalTF, bank: GobfBank) -> ExpansionResult:
-    """Expand a stable target on the bank and report the sup-norm residual,
-    also for every lower repetition count (``residual_by_rep[r]``)."""
-    if not target.is_stable():
-        raise UnstableFilterError("series expansion requires a stable target")
+    """Expand a stable target on the real model channels and report the
+    sup-norm residual on [0, pi], also for every lower repetition count
+    (``residual_by_rep[r]``, the fit on the leading 1 + r * n_base channels).
 
-    om = np.linspace(0.0, np.pi, _PROJECTION_GRID)
-    response = freq_response(target, om)
-
+    ``fit_ls`` fits the target's periodic impulse response with the
+    channels' (see ``_unit_impulse``); the residual's DFT is its frequency
+    response on the grid.
+    """
+    u = _unit_impulse(_PROJECTION_PERIOD)
+    h = filter_time(target, u).samples       # rejects an unstable target
+    x = bank_outputs(bank, u)
     residuals = []
-    for r in range(0, bank.n_rep + 1):
-        alpha, res_r = _project_once(GobfBank(bank.base_poles, r), response, om)
-        residuals.append(res_r)
-
-    return ExpansionResult(
-        coefficients=np.asarray(alpha, dtype=float),
-        residual_sup=residuals[-1],
-        residual_by_rep=residuals,
-    )
+    for r in range(bank.n_rep + 1):
+        channels = x[:, :1 + r * bank.n_base]
+        alpha = fit_ls(channels, h)
+        residuals.append(float(np.max(np.abs(np.fft.rfft(h - channels @ alpha)))))
+    return ExpansionResult(coefficients=alpha, residual_sup=residuals[-1],
+                           residual_by_rep=residuals)

@@ -119,15 +119,26 @@ class SignalRecord:
 
     @classmethod
     def from_csv(cls, path) -> "SignalRecord":
-        """An aperiodic record from the ``value`` column of ``to_csv``."""
-        with warnings.catch_warnings():
-            # An empty file is an empty record, not a warning.
-            warnings.filterwarnings("ignore", "genfromtxt: Empty input file",
-                                    UserWarning)
-            data = np.genfromtxt(path, delimiter=",", skip_header=1)
+        """An aperiodic record from the ``value`` column of ``to_csv``: the
+        header ``index,value``, then rows of exactly those two columns."""
+        with open(path) as fh:
+            header = fh.readline().strip()
+            if header != "index,value":
+                raise InvalidSpecError(
+                    f"a signal CSV starts with the header 'index,value', "
+                    f"not {header!r}")
+            with warnings.catch_warnings():
+                # No rows after the header is an empty record, not a warning.
+                warnings.filterwarnings("ignore", "genfromtxt: Empty input file",
+                                        UserWarning)
+                data = np.genfromtxt(fh, delimiter=",", ndmin=2)
         if data.size == 0:
             return cls(samples=np.empty(0))
-        return cls(samples=np.atleast_2d(data)[:, 1])
+        if data.shape[1] != 2:
+            raise InvalidSpecError(
+                f"a signal CSV has the two columns index and value, "
+                f"not {data.shape[1]}")
+        return cls(samples=data[:, 1])
 
     def to_json_dict(self, generator: Optional[dict] = None) -> dict:
         doc = {

@@ -503,12 +503,24 @@ MALFORMED_INPUT_CASES = {
     "predict-pole-without-conjugate": (
         ["predict", "--model", "{bank_lone_pole}", "--u", "{u}"], 2,
         "conjugate"),
+    "predict-non-finite-pole": (
+        ["predict", "--model", "{bank_nan_pole}", "--u", "{u}"], 2,
+        "bank_nan_pole.json is malformed"),
     "identify-empty-json-signal": (
         ["identify", "--config", "{identify}", "--u", "{empty_json}", "--y",
          "{empty_json}"], 2, "empty.json"),
     "identify-empty-csv-signal": (
         ["identify", "--config", "{identify}", "--u", "{empty_csv}", "--y",
          "{empty_csv}"], 2, "empty.csv"),
+    "simulate-one-column-csv-signal": (
+        ["simulate", "--config", "{identity}", "--input", "{one_column_csv}"],
+        2, "one_column.csv is malformed"),
+    "simulate-headerless-csv-signal": (
+        ["simulate", "--config", "{identity}", "--input", "{headerless_csv}"],
+        2, "headerless.csv is malformed"),
+    "simulate-three-column-csv-signal": (
+        ["simulate", "--config", "{identity}", "--input", "{three_column_csv}"],
+        2, "three_column.csv is malformed"),
     "identify-filtering-key": (
         ["identify", "--config", "{identify_filtering}", "--u", "{u}", "--y",
          "{u}"], 2, "filtering"),
@@ -589,12 +601,18 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
         f"{i},{v}\n" for i, v in enumerate(values)))
     empty_csv = tmp_path / "empty.csv"
     empty_csv.write_text("index,value\n")
+    csv_bodies = {"one_column": "0.5\n1.0\n-2.0\n3.0\n",
+                  "headerless": "0,0.5\n1,1.0\n2,-2.0\n3,3.0\n",
+                  "three_column": "index,value\n0,0.5,1\n1,1.0,1\n"}
+    for key, body in csv_bodies.items():
+        (tmp_path / f"{key}.csv").write_text(body)
     files = {
         "u": gen_multisine(tmp_path, out, n=256, nf=32),
         "garbage": garbage,
         "directory": tmp_path,
         "non_finite": non_finite,
         "empty_csv": empty_csv,
+        **{f"{key}_csv": tmp_path / f"{key}.csv" for key in csv_bodies},
         "empty_json": write_json(tmp_path / "empty.json", {"samples": []}),
         "no_poles": write_json(tmp_path / "no_poles.json", {"bank": {}}),
         "static_model": write_json(tmp_path / "static_model.json",
@@ -693,6 +711,12 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
                                      bank={"base_poles": [], "n_rep": 1.9}),
             "bank_lone_pole": dict(static_model(), bank={
                 "base_poles": [[0.5, 0.3]], "n_rep": 1}),
+            # json writes and reads NaN; two real poles, three channels
+            "bank_nan_pole": dict(static_model(), bank={
+                "base_poles": [[float("nan"), 0.0]] * 2, "n_rep": 1},
+                poly=dict(STATIC_POLY, n_channels=3, terms=[
+                    {"exponents": [0, 0, 0], "coefficient": 0.0},
+                    {"exponents": [1, 0, 0], "coefficient": 1.0}])),
     }.items():
         files[key] = write_json(tmp_path / f"{key}.json", model)
     argv = [arg.format(**files) for arg in template] + ["--out-dir", str(out)]

@@ -50,6 +50,10 @@ class TestBuildBank:
         with pytest.raises(UnstableFilterError, match="stabilize"):
             build_bank(np.array([1.1 + 0.0j]), n_rep=1)
 
+    def test_non_finite_pole_rejected(self):
+        with pytest.raises(InvalidSpecError, match="finite"):
+            build_bank(np.array([np.nan, np.nan], dtype=complex), 1)
+
     def test_complex_pole_without_conjugate_rejected(self):
         with pytest.raises(InvalidSpecError, match="conjugate"):
             build_bank(np.array([0.5 + 0.3j]), 1)
@@ -101,6 +105,26 @@ class TestFrequencyMatrix:
         bank = build_bank(EX1_POLES, n_rep=2)
         g = gram_matrix(bank, n_points=50_000, real_outputs=True)
         assert np.max(np.abs(g - np.eye(bank.n_outputs))) < 1e-8
+
+    def test_impulse_outputs_are_recombined_frequency_columns(self):
+        """The DFT of the bank outputs on a periodic unit impulse is the
+        real-channel frequency response: real poles pass F_l through, and a
+        conjugate pair whitens the Re/Im combination of F_l at w and -w."""
+        bank = build_bank(EX1_POLES, n_rep=2)
+        n = 512
+        om = 2 * np.pi * np.arange(n) / n
+        x = bank_outputs(bank, SignalRecord(np.eye(1, n)[0], periodic=True))
+        f = bank_frequency_matrix(bank, om)
+        fbar = np.conj(bank_frequency_matrix(bank, -om))
+        expected = f.copy()
+        seq = bank.pole_sequence
+        for l in range(len(seq)):
+            if seq[l].imag > 0:       # first member of a pair (canonical order)
+                c = 1 + l
+                re = (f[:, c] + fbar[:, c]) / np.sqrt(2)
+                im = (f[:, c] - fbar[:, c]) / (np.sqrt(2) * 1j)
+                expected[:, c:c + 2] = np.column_stack([re, im]) @ pair_whitening(seq[l])
+        assert np.max(np.abs(np.fft.fft(x, axis=0) - expected)) <= 1e-12
 
     def test_pair_whitening_matches_quadrature_moments(self):
         """The analytic in-pair cross moment <F, conj-F> agrees with direct
@@ -243,6 +267,15 @@ class TestProjection:
             ratio = residuals[r] / residuals[r - 1]
             assert ratio < 3.0 * rho
             assert ratio > rho / 3.0
+
+    def test_lower_repetitions_are_leading_channel_fits(self):
+        """residual_by_rep[r] of a bank is the residual of the bank with r
+        repetitions."""
+        perturbed = EX1_POLES * (1.0 + 0.01 / np.abs(EX1_POLES))
+        by_rep = project_expansion(EX1, build_bank(perturbed, 4)).residual_by_rep
+        for r in range(5):
+            assert project_expansion(EX1, build_bank(perturbed, r)).residual_sup \
+                == by_rep[r]
 
     def test_unstable_target_rejected(self):
         bad = RationalTF(b=np.array([1.0]), a=np.array([1.0, -1.5]))
