@@ -82,9 +82,9 @@ def estimate_frf(u: SignalRecord, y: SignalRecord) -> NonparametricBla:
     detected from the averaged input spectrum; an input with no detected
     bin raises ``DegenerateExcitationError``.
     """
-    if not u.periodic or u.period_samples is None:
+    if not u.periodic:
         raise InvalidSpecError("estimate_frf requires a periodic input record")
-    p = int(u.period_samples)
+    p = u.period_samples
     if len(y.samples) != len(u.samples):
         raise InvalidSpecError("input and output records must have equal length")
     u_blocks = u.samples.reshape(-1, p)

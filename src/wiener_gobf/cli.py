@@ -177,14 +177,15 @@ def cmd_identify(args) -> tuple:
     doc = _load_config(args.config)
     name, cfg_doc = _split_name(doc)
     cfg = IdentifyConfig.from_json_dict(cfg_doc)
+    if (args.validate_u is None) != (args.validate_y is None):
+        raise CliError("--validate-u and --validate-y are given together or "
+                       "not at all")
     u = _read_signal(args.u, args)
     y = _read_signal(args.y, args)
+    if args.validate_u is not None:
+        uv = _read_signal(args.validate_u, args)
+        yv = _read_signal(args.validate_y, args)
     model = pipeline.identify(u, y, cfg)
-
-    out = _out_dir(args)
-    name = name or "model"
-    model_path = os.path.join(out, f"{name}.json")
-    model.to_json(model_path)
 
     report = {
         "poles": model.provenance.get("bla", {}).get("poles", []),
@@ -196,11 +197,13 @@ def cmd_identify(args) -> tuple:
     yhat_est = pipeline.predict(model, u)
     report["estimation_nrmse"] = pipeline.nrmse(
         y, yhat_est, discard=model.provenance.get("transient_discarded", 0))
-    if args.validate_u and args.validate_y:
-        uv = _read_signal(args.validate_u, args)
-        yv = _read_signal(args.validate_y, args)
-        yhat = pipeline.predict(model, uv)
-        report["validation_nrmse"] = pipeline.nrmse(yv, yhat)
+    if args.validate_u is not None:
+        report["validation_nrmse"] = pipeline.nrmse(yv, pipeline.predict(model, uv))
+
+    out = _out_dir(args)
+    name = name or "model"
+    model_path = os.path.join(out, f"{name}.json")
+    model.to_json(model_path)
     report_path = os.path.join(out, f"{name}_report.json")
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2)

@@ -22,36 +22,24 @@ from .polymodel import fit_ls
 from .ratfun import RationalTF, filter_time
 from .signals import SignalRecord, dft
 
-_REAL_POLE_TOL = 1e-12
 _PROJECTION_PERIOD = 8192
-
-
-def _is_real_pole(p: complex) -> bool:
-    return abs(p.imag) <= _REAL_POLE_TOL * (1.0 + abs(p))
 
 
 def _canonical_pole_order(poles: np.ndarray) -> np.ndarray:
     """Sort poles by (modulus, |angle|) with conjugate pairs adjacent.
 
-    The positive-imaginary member of each pair comes first.  Basis span is
-    invariant to this choice; individual expansion coefficients are not.
+    The set must be closed under conjugation bit for bit; a pole with a zero
+    imaginary part is real.  The positive-imaginary member of each pair
+    comes first.  Basis span is invariant to this choice; individual
+    expansion coefficients are not.
     """
-    items = []
-    remaining = list(np.asarray(poles, dtype=complex))
-    while remaining:
-        p = remaining.pop(0)
-        if _is_real_pole(p):
-            items.append((abs(p), 0.0, [complex(p.real)]))
-            continue
-        j = min(range(len(remaining)), default=None,
-                key=lambda i: abs(remaining[i] - np.conj(p)))
-        if j is None or abs(remaining[j] - np.conj(p)) > 1e-8 * (1.0 + abs(p)):
-            raise InvalidSpecError("pole set is not conjugate closed")
-        remaining.pop(j)
-        rep = p if p.imag > 0 else np.conj(p)
-        items.append((abs(rep), abs(np.angle(rep)), [rep, np.conj(rep)]))
-    items.sort(key=lambda t: (t[0], t[1]))
-    ordered = [p for _, _, group in items for p in group]
+    upper = np.sort(poles[poles.imag > 0])
+    if not np.array_equal(upper, np.sort(np.conj(poles[poles.imag < 0]))):
+        raise InvalidSpecError("pole set is not conjugate closed")
+    heads = sorted((p for p in poles if p.imag >= 0),
+                   key=lambda p: (abs(p), abs(np.angle(p)) if p.imag else 0.0))
+    ordered = [q for p in heads
+               for q in ((p, np.conj(p)) if p.imag else (complex(p.real),))]
     return np.array(ordered, dtype=complex)
 
 
@@ -106,8 +94,6 @@ class GobfBank:
     @property
     def pole_sequence(self) -> np.ndarray:
         """xi_1..xi_n with the periodic repetition pattern."""
-        if self.n_rep == 0:
-            return np.array([], dtype=complex)
         return np.tile(self.base_poles, self.n_rep)
 
     def to_json_dict(self) -> dict:
@@ -148,31 +134,14 @@ def transient_length(bank: GobfBank, n: int) -> int:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _cascade(seq: np.ndarray, z: np.ndarray, read):
-    """Yield (l, F_l(z)) for each l in ``read``, in cascade form."""
+def _cascade(seq: np.ndarray, z: np.ndarray, read: np.ndarray):
+    """Yield (l, F_l(z)) for each l where the mask ``read`` is set, in
+    cascade form."""
     running = np.ones_like(z)
     for l, xi in enumerate(seq):
-        if l in read:
+        if read[l]:
             yield l, np.sqrt(1.0 - abs(xi) ** 2) / (z - xi) * running
         running = running * (1.0 - np.conj(xi) * z) / (z - xi)
-
-
-def _read_columns(seq: np.ndarray) -> list[int]:
-    """Columns ``bank_outputs`` filters: each real pole and the first
-    member of each conjugate pair."""
-    read, l = [], 0
-    while l < len(seq):
-        read.append(l)
-        l += 1 if _is_real_pole(seq[l]) else 2
-    return read
-
-
-def _recombine_pair(xi: complex, f: np.ndarray, fbar: np.ndarray) -> np.ndarray:
-    """Whitened [Re, Im] columns of a conjugate pair from its first member's
-    output ``f``; ``fbar`` is the conjugate-coefficient output, conj(f)."""
-    re = (f + fbar) / np.sqrt(2.0)
-    im = (f - fbar) / (np.sqrt(2.0) * 1j)
-    return np.column_stack([re, im]) @ pair_whitening(xi)
 
 
 def bank_frequency_matrix(bank: GobfBank, omegas) -> np.ndarray:
@@ -181,17 +150,17 @@ def bank_frequency_matrix(bank: GobfBank, omegas) -> np.ndarray:
     z = np.exp(1j * np.atleast_1d(np.asarray(omegas, dtype=float)))
     seq = bank.pole_sequence
     out = np.ones((len(z), 1 + len(seq)), dtype=complex)
-    for l, col in _cascade(seq, z, range(len(seq))):
+    for l, col in _cascade(seq, z, np.full(len(seq), True)):
         out[:, 1 + l] = col
     return out
 
 
 def _filtered_columns(bank: GobfBank, u: SignalRecord):
-    """Yield (l, F_l u) as a complex signal for each column ``_read_columns``
-    names: on the DFT grid for a periodic record, through the shared all-pass
-    chain from rest otherwise."""
+    """Yield (l, F_l u) as a complex signal for each real pole and the first
+    member of each conjugate pair: on the DFT grid for a periodic record,
+    through the shared all-pass chain from rest otherwise."""
     seq = bank.pole_sequence
-    read = set(_read_columns(seq))
+    read = seq.imag >= 0
     samples = u.samples
     if u.periodic:
         n = len(samples)
@@ -203,7 +172,7 @@ def _filtered_columns(bank: GobfBank, u: SignalRecord):
 
         chain = samples.astype(complex)
         for l, xi in enumerate(seq):
-            if l in read:
+            if read[l]:
                 gain = np.sqrt(1.0 - abs(xi) ** 2)
                 yield l, lfilter([0.0, gain], [1.0, -xi], chain)
             chain = lfilter([-np.conj(xi), 1.0], [1.0, -xi], chain)
@@ -220,19 +189,17 @@ def bank_outputs(bank: GobfBank, u: SignalRecord) -> np.ndarray:
     seq = bank.pole_sequence
     out = np.empty((len(u.samples), bank.n_outputs))
     out[:, 0] = u.samples
-    leak = 0.0
     for l, f in _filtered_columns(bank, u):
-        # The time-domain conjugate equals the conjugate-coefficient output.
-        cols = (f[:, None] if _is_real_pole(seq[l])
-                else _recombine_pair(seq[l], f, np.conj(f)))
-        out[:, 1 + l:1 + l + cols.shape[1]] = cols.real
-        leak = np.maximum(leak, np.max(np.abs(cols.imag), initial=0.0))
-    scale = max(np.max(np.abs(out[:, 1:]), initial=0.0), 1.0)
-    if leak > 1e-8 * scale:
-        raise InvalidSpecError(
-            f"basis outputs are not real (imaginary leakage {leak:.3e}); "
-            "pole set is likely not conjugate closed"
-        )
+        if seq[l].imag == 0:
+            out[:, 1 + l] = f.real
+            continue
+        # Whitened [Re, Im] of the pair; the time-domain conjugate of f
+        # equals the conjugate-coefficient output.
+        fbar = np.conj(f)
+        re = (f + fbar) / np.sqrt(2.0)
+        im = (f - fbar) / (np.sqrt(2.0) * 1j)
+        out[:, 1 + l:3 + l] = (np.column_stack([re, im])
+                               @ pair_whitening(seq[l])).real
     return out
 
 

@@ -295,11 +295,21 @@ def estimate_intermediate(bank: gobf.GobfBank, y: SignalRecord,
     return X @ polymodel.fit_ls(X, target)
 
 
+def _paired_samples(y, yhat) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of a record and of its prediction, which must be equally
+    long."""
+    ya = y.samples if isinstance(y, SignalRecord) else np.asarray(y, dtype=float)
+    yh = yhat.samples if isinstance(yhat, SignalRecord) else np.asarray(yhat, dtype=float)
+    if len(ya) != len(yh):
+        raise InvalidSpecError(f"records of unequal length: {len(ya)} and "
+                               f"{len(yh)} samples")
+    return ya, yh
+
+
 def nrmse(y: Union[SignalRecord, np.ndarray],
           yhat: Union[SignalRecord, np.ndarray], discard: int = 0) -> float:
     """||y - yhat||_2 / ||y||_2 on validation data."""
-    ya = y.samples if isinstance(y, SignalRecord) else np.asarray(y, dtype=float)
-    yh = yhat.samples if isinstance(yhat, SignalRecord) else np.asarray(yhat, dtype=float)
+    ya, yh = _paired_samples(y, yhat)
     ya, yh = ya[discard:], yh[discard:]
     denom = np.linalg.norm(ya)
     if denom == 0.0:
@@ -308,6 +318,5 @@ def nrmse(y: Union[SignalRecord, np.ndarray],
 
 
 def sup_error(y, yhat) -> float:
-    ya = y.samples if isinstance(y, SignalRecord) else np.asarray(y, dtype=float)
-    yh = yhat.samples if isinstance(yhat, SignalRecord) else np.asarray(yhat, dtype=float)
+    ya, yh = _paired_samples(y, yhat)
     return float(np.max(np.abs(ya - yh)))

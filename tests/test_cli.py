@@ -503,6 +503,16 @@ MALFORMED_INPUT_CASES = {
     "predict-pole-without-conjugate": (
         ["predict", "--model", "{bank_lone_pole}", "--u", "{u}"], 2,
         "conjugate"),
+    "predict-pole-pair-off-by-one-ulp": (
+        ["predict", "--model", "{bank_ulp_pair}", "--u", "{u}"], 2,
+        "not conjugate closed"),
+    "identify-validation-records-of-unequal-length": (
+        ["identify", "--config", "{identify_static}", "--u", "{u}", "--y",
+         "{u}", "--validate-u", "{u}", "--validate-y", "{short_json}"], 2,
+        "100 and 256 samples"),
+    "identify-validate-u-without-validate-y": (
+        ["identify", "--config", "{identify_static}", "--u", "{u}", "--y",
+         "{u}", "--validate-u", "{u}"], 2, "--validate-u and --validate-y"),
     "predict-non-finite-pole": (
         ["predict", "--model", "{bank_nan_pole}", "--u", "{u}"], 2,
         "bank_nan_pole.json is malformed"),
@@ -614,11 +624,16 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
         "empty_csv": empty_csv,
         **{f"{key}_csv": tmp_path / f"{key}.csv" for key in csv_bodies},
         "empty_json": write_json(tmp_path / "empty.json", {"samples": []}),
+        "short_json": write_json(tmp_path / "short.json",
+                                 {"samples": [0.5] * 100}),
         "no_poles": write_json(tmp_path / "no_poles.json", {"bank": {}}),
         "static_model": write_json(tmp_path / "static_model.json",
                                    static_model()),
         "identify": write_json(tmp_path / "id_ok.json", {
             "n_a": 1, "n_b": 1, "n_rep": 1, "degree": 1}),
+        # fits y = u
+        "identify_static": write_json(tmp_path / "id_static.json", {
+            "n_a": 0, "n_b": 0, "n_rep": 0, "degree": 1}),
         "identity": write_json(tmp_path / "identity.json", IDENTITY_SYSTEM),
         "unstable": write_json(tmp_path / "unstable.json", {
             "g": {"b": [1.0], "a": [1.0, -1.5]},
@@ -711,6 +726,12 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
                                      bank={"base_poles": [], "n_rep": 1.9}),
             "bank_lone_pole": dict(static_model(), bank={
                 "base_poles": [[0.5, 0.3]], "n_rep": 1}),
+            # the pair's second member one ulp off the first's conjugate
+            "bank_ulp_pair": dict(static_model(), bank={
+                "base_poles": [[0.5, 0.3], [0.5, -0.30000000000000004]],
+                "n_rep": 1}, poly=dict(STATIC_POLY, n_channels=3, terms=[
+                    {"exponents": [0, 0, 0], "coefficient": 0.0},
+                    {"exponents": [1, 0, 0], "coefficient": 1.0}])),
             # json writes and reads NaN; two real poles, three channels
             "bank_nan_pole": dict(static_model(), bank={
                 "base_poles": [[float("nan"), 0.0]] * 2, "n_rep": 1},
@@ -787,9 +808,17 @@ def test_run_contract(command, tmp_path, out, capsys):
 
 
 def test_failed_run_writes_no_manifest(tmp_path, out):
+    """A failed run leaves its out-dir empty: every input is read before
+    anything is written."""
     files = run_contract_inputs(tmp_path)
     assert main(["predict", "--model", str(tmp_path / "missing.json"),
                  "--u", str(files["u"]), "--out-dir", str(out)]) == 2
+    assert os.listdir(out) == []
+    assert main(["identify", "--config", str(files["identify"]),
+                 "--u", str(files["u"]), "--y", str(files["y"]),
+                 "--validate-u", str(files["u"]),
+                 "--validate-y", str(tmp_path / "missing.csv"),
+                 "--out-dir", str(out)]) == 2
     assert os.listdir(out) == []
 
 

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wiener_gobf.bla import stabilize_poles
 from wiener_gobf.errors import InvalidSpecError, UnstableFilterError
 from wiener_gobf.gobf import (
     GobfBank,
@@ -20,6 +23,23 @@ from wiener_gobf.signals import MultisineSpec, SignalRecord, generate_multisine
 EX1 = RationalTF(b=np.array([1.0, 3.0, 3.0, 1.0]),
                  a=np.array([1.0, -2.1, 1.9, -0.7]))
 EX1_POLES = poles(EX1)
+
+# Real-coefficient denominators: random coefficients (a[0] = 1), or the
+# product of roots, some repeated, some at 0, some outside the unit circle.
+_modulus = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=0.95),
+                     st.floats(min_value=1.05, max_value=3.0))
+_root_groups = st.lists(
+    st.tuples(_modulus, st.floats(min_value=0.0, max_value=np.pi),
+              st.booleans(), st.integers(min_value=1, max_value=3)),
+    min_size=1, max_size=3)
+denominators = st.one_of(
+    st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1,
+             max_size=6).map(lambda c: np.array([1.0] + c)),
+    _root_groups.map(lambda groups: np.real(np.poly([
+        r for modulus, angle, real, times in groups
+        for r in ([modulus if angle < np.pi / 2 else -modulus] if real
+                  else [modulus * np.exp(1j * angle),
+                        modulus * np.exp(-1j * angle)]) * times]))))
 
 
 class TestBuildBank:
@@ -57,6 +77,25 @@ class TestBuildBank:
     def test_complex_pole_without_conjugate_rejected(self):
         with pytest.raises(InvalidSpecError, match="conjugate"):
             build_bank(np.array([0.5 + 0.3j]), 1)
+
+    def test_pair_off_by_one_ulp_rejected(self):
+        with pytest.raises(InvalidSpecError, match="conjugate"):
+            build_bank(np.array([0.5 + 0.3j, 0.5 - 0.30000000000000004j]), 1)
+
+    @given(denominators, st.integers(min_value=1, max_value=3))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_poles_of_real_denominators_make_a_closed_bank(self, a, n_rep):
+        """Any real denominator's stabilized poles make a bank whose complex
+        base poles each have their conjugate in the set bit for bit."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ps = stabilize_poles(poles(RationalTF(b=np.array([1.0]), a=a)))
+        assume(np.all(np.abs(ps) < 1.0))       # |p| = 1 stays on the circle
+        bank = build_bank(ps, n_rep)
+        base = bank.base_poles
+        assert len(base) == len(ps)
+        np.testing.assert_array_equal(np.sort(base[base.imag > 0]),
+                                      np.sort(np.conj(base[base.imag < 0])))
 
     def test_ordering_is_canonical_regardless_of_input_order(self):
         p = EX1_POLES
@@ -176,19 +215,6 @@ class TestBankOutputs:
         xz = bank_outputs(bank, SignalRecord(four.samples))
         last = slice(3 * 512, 4 * 512)
         assert np.max(np.abs(xp[last] - xz[last])) < 1e-8
-
-    @pytest.mark.parametrize("periodic", [True, False])
-    def test_pole_set_not_conjugate_closed_leaks_and_is_rejected(self, periodic):
-        """A pole without its conjugate, forced past the constructor's
-        check, makes the all-pass product before the second repetition's
-        real pole complex; bank_outputs refuses the complex column."""
-        bank = build_bank(EX1_POLES, 2)
-        lone = bank.base_poles.copy()
-        lone[2] = lone[1]      # the pair's second member becomes a copy of its first
-        object.__setattr__(bank, "base_poles", lone)
-        u = generate_multisine(MultisineSpec(n_samples=256, n_freqs=40, seed=6))
-        with pytest.raises(InvalidSpecError, match="imaginary leakage"):
-            bank_outputs(bank, u if periodic else SignalRecord(u.samples))
 
     def test_sample_gram_on_full_band_multisine(self):
         """Flat excitation over the whole band makes the sample channel
