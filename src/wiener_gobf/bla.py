@@ -20,7 +20,7 @@ from .errors import (
     RankDeficiencyError,
     RepeatedPoleWarning,
 )
-from .ratfun import RationalTF, poles as tf_poles
+from .ratfun import RationalTF, poles as tf_poles, snap_near_real
 from .signals import SignalRecord
 
 _EXCITED_DETECT_REL = 1e-9
@@ -280,11 +280,12 @@ def fit_rational(frf: NonparametricBla, n_a: int, n_b: int) -> BlaFitResult:
 
 
 def stabilize_poles(poles: np.ndarray) -> np.ndarray:
-    """Reflect any pole with |p| >= 1 to 1/conj(p); warns when it acts."""
+    """Reflect any pole with |p| >= 1 to 1/conj(p), which divides its
+    imaginary part by |p|^2, so ``snap_near_real`` follows; warns when it acts."""
     p = np.array(poles, dtype=complex)
     bad = np.abs(p) >= 1.0
     if np.any(bad):
-        p[bad] = 1.0 / np.conj(p[bad])
+        p[bad] = snap_near_real(1.0 / np.conj(p[bad]))
         warnings.warn(f"reflected {int(bad.sum())} unstable pole estimate(s) "
                       "into the unit circle", PoleStabilizationWarning)
     return p

@@ -35,10 +35,11 @@ from .pipeline import (
     sup_error,
 )
 from .gobf import bank_outputs, build_bank, transient_length
-from .ratfun import RationalTF, poles as tf_poles
+from .ratfun import RationalTF, filter_time, poles as tf_poles
 from .signals import (
     MultisineSpec,
     NoiseSpec,
+    SignalRecord,
     derive_seed,
     generate_gaussian,
     generate_multisine,
@@ -162,6 +163,10 @@ class StudyConfig:
         for key in ("n_freqs_grid", "n_rep_set"):
             if len(set(getattr(self, key))) != len(getattr(self, key)):
                 raise InvalidSpecError(f"{key} must not repeat an entry")
+        if any(nf < 1 for nf in self.n_freqs_grid):
+            raise InvalidSpecError("'n_freqs_grid' entries must be >= 1")
+        if self.validation_n_freqs < 1:
+            raise InvalidSpecError("'validation_n_freqs' must be >= 1")
         for n_rep in self.n_rep_set:
             self.identify_config(n_rep).validate()
 
@@ -195,11 +200,17 @@ def _csv_text(value) -> str:
     return str(value)
 
 
+def _read_bool(text: str) -> bool:
+    if text not in ("True", "False"):
+        raise ValueError(f"a bool cell must read True or False, not {text!r}")
+    return text == "True"
+
+
 def _csv_parser(annotation):
     """The reader of a CSV cell for a field annotated ``T`` or ``Optional[T]``."""
     base = next((t for t in get_args(annotation) if t is not type(None)),
                 annotation)
-    return (lambda text: text == "True") if base is bool else base
+    return _read_bool if base is bool else base
 
 
 @dataclass
@@ -517,8 +528,15 @@ def _noise_trial(cfg: StudyConfig, trial: int, validation) -> list:
     x_val, y_val = simulate(sys_val, u_val)
     y_val_clean = sys_val.f.apply(x_val.samples)
 
-    variance = cfg.system.output_noise.variance if cfg.system.output_noise else 0.0
-    floor = float(np.sqrt(variance) / rms(y_val_clean)) \
+    # v = H e has power variance * sum(h^2), h over the record length
+    noise = cfg.system.output_noise
+    power = noise.variance if noise else 0.0
+    if noise and noise.shaping_filter is not None:
+        impulse = np.zeros(cfg.n_samples)
+        impulse[0] = 1.0
+        h = filter_time(noise.shaping_filter, SignalRecord(samples=impulse)).samples
+        power *= float(np.sum(h * h))
+    floor = float(np.sqrt(power) / rms(y_val_clean)) \
         if rms(y_val_clean) > 0 else 0.0
 
     records = []

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InvalidSpecError, SingularityError, UnstableFilterError, json_kwargs
 from .signals import SignalRecord, dft, idft
 
-_CONJ_TOL = 1e-8
+_NEAR_REAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -55,43 +55,20 @@ def freq_response(tf: RationalTF, omegas) -> np.ndarray:
     return num / den
 
 
-def _symmetrize_conjugates(roots: np.ndarray, tol: float = _CONJ_TOL) -> np.ndarray:
-    """Snap nearly-conjugate root pairs onto exact closure.
-
-    Real-coefficient polynomials have conjugate-closed roots up to rounding;
-    downstream basis construction requires the closure to be exact.
-    """
-    roots = np.asarray(roots, dtype=complex)
-    out = []
-    used = np.zeros(len(roots), dtype=bool)
-    order = np.argsort(-np.abs(roots.imag))
-    for i in order:
-        if used[i]:
-            continue
-        r = roots[i]
-        used[i] = True
-        if abs(r.imag) <= tol * (1.0 + abs(r)):
-            out.append(complex(r.real))
-            continue
-        candidates = [j for j in range(len(roots)) if not used[j]]
-        if not candidates:
-            out.append(r)
-            continue
-        j = min(candidates, key=lambda j: abs(roots[j] - np.conj(r)))
-        if abs(roots[j] - np.conj(r)) <= 1e-3 * (1.0 + abs(r)):
-            used[j] = True
-            p = 0.5 * (r + np.conj(roots[j]))
-            out.extend([p, np.conj(p)])
-        else:
-            out.append(r)
-    return np.array(out, dtype=complex)
+def snap_near_real(p) -> np.ndarray:
+    """``p`` as a complex array, each pole with |imag| <= 1e-8 (1 + |p|) made
+    real; both members of an exact conjugate pair pass or fail together."""
+    p = np.array(p, dtype=complex)
+    near = np.abs(p.imag) <= _NEAR_REAL_TOL * (1.0 + np.abs(p))
+    p[near] = p[near].real
+    return p
 
 
 def poles(tf: RationalTF) -> np.ndarray:
-    """Denominator roots in z, conjugate pairs symmetrized exactly."""
-    if len(tf.a) < 2:
-        return np.array([], dtype=complex)
-    return _symmetrize_conjugates(np.roots(tf.a))
+    """Denominator roots in z, near-real ones made real.  LAPACK gives the
+    real companion matrix's complex eigenvalues as exact conjugate pairs;
+    adding 0.0 turns a -0.0 real part into +0.0."""
+    return snap_near_real(np.roots(tf.a) + 0.0)
 
 
 def filter_time(tf: RationalTF, u: SignalRecord) -> SignalRecord:

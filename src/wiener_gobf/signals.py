@@ -287,16 +287,11 @@ class NoiseSpec:
         h = self.shaping_filter
         if h is None:
             return
-        b = np.asarray(h.b, dtype=float)
-        a = np.asarray(h.a, dtype=float)
-        if abs(b[0] - 1.0) > 1e-12 or abs(a[0] - 1.0) > 1e-12:
+        if abs(h.b[0] - 1.0) > 1e-12 or abs(h.a[0] - 1.0) > 1e-12:
             raise InvalidSpecError("shaping filter must be monic")
-        if len(a) > 1:
-            poles = np.roots(a)
-            if np.any(np.abs(poles) >= 1.0):
-                raise UnstableFilterError(
-                    "shaping filter has poles on or outside the unit circle"
-                )
+        if not h.is_stable():
+            raise UnstableFilterError(
+                "shaping filter has poles on or outside the unit circle")
 
     def with_seed(self, seed: int) -> "NoiseSpec":
         return replace(self, seed=seed)

@@ -13,6 +13,7 @@ from wiener_gobf.errors import (
     PoleStabilizationWarning,
     RankDeficiencyError,
 )
+from wiener_gobf.gobf import bank_outputs, build_bank
 from wiener_gobf.ratfun import RationalTF, filter_time, freq_response, poles
 from wiener_gobf.signals import MultisineSpec, SignalRecord, generate_gaussian, generate_multisine
 
@@ -152,6 +153,18 @@ class TestFitRational:
 
 
 class TestStabilizePoles:
+    def test_reflected_near_real_pair_made_real(self):
+        """1e4 +- 0.1j reflects to 1e-4 +- 1e-9j, which is made real, so the
+        bank holds the double real pole 1e-4 and its outputs exist."""
+        tf = RationalTF(b=np.array([1.0]), a=np.array([1.0, -2e4, 1e8 + 0.01]))
+        with pytest.warns(PoleStabilizationWarning):
+            out = stabilize_poles(poles(tf))
+        assert np.all(out.imag == 0.0)
+        np.testing.assert_allclose(out.real, [1e-4, 1e-4], rtol=1e-9)
+        bank = build_bank(out, 1)
+        u = generate_multisine(MultisineSpec(n_samples=64, n_freqs=8, seed=1))
+        assert np.all(np.isfinite(bank_outputs(bank, u)))
+
     def test_real_pole_reflected(self):
         with pytest.warns(PoleStabilizationWarning):
             out = stabilize_poles(np.array([2.0]))

@@ -338,7 +338,10 @@ class TestStudy:
     @pytest.mark.parametrize("edit", [
         lambda text: text.replace("\npole_rate,0,", "\npole_rate,zero,"),
         lambda text: text.replace("study,trial,", "study,trail,"),
-    ], ids=["non-integer-trial", "missing-trial-column"])
+        lambda text: text.replace(",False,", ",yes,"),
+        lambda text: text.replace(",,False,", ",1,False,"),
+    ], ids=["non-integer-trial", "missing-trial-column", "failed-cell-yes",
+            "selected-cell-1"])
     def test_resume_on_malformed_records_exits_2(self, tmp_path, out, capsys,
                                                  edit):
         cfg = write_json(tmp_path / "poles.json", {
@@ -446,6 +449,11 @@ MALFORMED_INPUT_CASES = {
         ["identify", "--config", "{identify_welch_zero}", "--u", "{u}", "--y",
          "{u}"], 2, "'welch_segment'"),
     "study-negative-n_a": (["study", "--config", "{study_n_a}"], 2, "'n_a'"),
+    "study-zero-n_freqs-entry": (["study", "--config", "{study_n_freqs_zero}"],
+                                 2, "'n_freqs_grid'"),
+    "study-zero-validation_n_freqs": (
+        ["study", "--config", "{study_validation_zero}"], 2,
+        "'validation_n_freqs'"),
     "predict-non-finite-signal": (
         ["predict", "--model", "{static_model}", "--u", "{non_finite}",
          "--period", "1020"], 2, "non_finite.csv"),
@@ -683,6 +691,14 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
         "study_n_a": write_json(tmp_path / "study_n_a.json", {
             "kind": "pole_rate", "system": "example1", "n_trials": 1,
             "n_freqs_grid": [32], "n_a": -1}),
+        "study_n_freqs_zero": write_json(tmp_path / "study_n_freqs_zero.json", {
+            "kind": "pole_rate", "system": "example1", "n_trials": 1,
+            "n_freqs_grid": [64, 0]}),
+        "study_validation_zero": write_json(
+            tmp_path / "study_validation_zero.json", {
+                "kind": "convergence", "system": "example1", "n_trials": 1,
+                "n_freqs_grid": [32], "n_rep_set": [1],
+                "validation_n_freqs": 0}),
         "period_zero": write_json(tmp_path / "period_zero.json", {
             "samples": [0.5] * 256, "periodic": True, "period_samples": 0}),
         "period_negative": write_json(tmp_path / "period_negative.json", {

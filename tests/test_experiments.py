@@ -350,6 +350,19 @@ class TestStudies:
             best = min(recs, key=lambda r: r.nrmse)
             assert best.selected
 
+    def test_noise_floor_counts_the_shaping_filter(self):
+        """v = H e with H = 1 + 0.9 q^-1 has power 1.81 times the variance of
+        e, so its floor is sqrt(1.81) times that of white noise."""
+        white = example2_polynomial_system()
+        shaped = replace(white, output_noise=replace(
+            white.output_noise,
+            shaping_filter=RationalTF(b=np.array([1.0, 0.9]), a=np.array([1.0]))))
+        floors = [[r.noise_floor for r in run_study(StudyConfig(
+            kind=NOISE, system=system, n_trials=2, base_seed=11, n_rep_set=(0,),
+            n_a=2, n_b=2, n_samples=500)).records] for system in (white, shaped)]
+        np.testing.assert_allclose(floors[1], np.sqrt(1.81) * np.array(floors[0]),
+                                   rtol=1e-12)
+
     def test_noise_study_zero_variance_matches_model_error(self):
         """With the noise switched off, the recorded NRMSE is exactly the
         model error of the same fit reproduced outside the study."""

@@ -23,14 +23,20 @@ from wiener_gobf.signals import MultisineSpec, SignalRecord, generate_multisine
 EX1 = RationalTF(b=np.array([1.0, 3.0, 3.0, 1.0]),
                  a=np.array([1.0, -2.1, 1.9, -0.7]))
 EX1_POLES = poles(EX1)
+U64 = generate_multisine(MultisineSpec(n_samples=64, n_freqs=8, seed=1))
 
 # Real-coefficient denominators: random coefficients (a[0] = 1), or the
-# product of roots, some repeated, some at 0, some outside the unit circle.
+# product of roots, some repeated, some at 0, some far outside the unit
+# circle, and pairs within about 1e-9 rad of the real axis.
 _modulus = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=0.95),
-                     st.floats(min_value=1.05, max_value=3.0))
+                     st.floats(min_value=1.05, max_value=3.0),
+                     st.floats(min_value=3.0, max_value=1e6))
+_angle = st.one_of(st.floats(min_value=0.0, max_value=np.pi),
+                   st.floats(min_value=0.0, max_value=1e-9),
+                   st.floats(min_value=np.pi - 1e-9, max_value=np.pi))
 _root_groups = st.lists(
-    st.tuples(_modulus, st.floats(min_value=0.0, max_value=np.pi),
-              st.booleans(), st.integers(min_value=1, max_value=3)),
+    st.tuples(_modulus, _angle, st.booleans(),
+              st.integers(min_value=1, max_value=3)),
     min_size=1, max_size=3)
 denominators = st.one_of(
     st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1,
@@ -86,7 +92,8 @@ class TestBuildBank:
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_poles_of_real_denominators_make_a_closed_bank(self, a, n_rep):
         """Any real denominator's stabilized poles make a bank whose complex
-        base poles each have their conjugate in the set bit for bit."""
+        base poles each have their conjugate in the set bit for bit, and
+        whose outputs on a periodic record are finite."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ps = stabilize_poles(poles(RationalTF(b=np.array([1.0]), a=a)))
@@ -96,6 +103,7 @@ class TestBuildBank:
         assert len(base) == len(ps)
         np.testing.assert_array_equal(np.sort(base[base.imag > 0]),
                                       np.sort(np.conj(base[base.imag < 0])))
+        assert np.all(np.isfinite(bank_outputs(bank, U64)))
 
     def test_ordering_is_canonical_regardless_of_input_order(self):
         p = EX1_POLES
