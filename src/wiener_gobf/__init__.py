@@ -52,11 +52,9 @@ from .signals import (
     SignalRecord,
     derive_rng,
     derive_seed,
-    dft,
     generate_gaussian,
     generate_multisine,
     generate_noise,
-    idft,
 )
 
 __version__ = "0.1.0"

@@ -65,10 +65,6 @@ class BlaFitResult:
     converged: bool
     cost_trace: list = field(default_factory=list)
 
-    @property
-    def theta(self) -> np.ndarray:
-        return np.concatenate([self.tf.a, self.tf.b])
-
 
 # ---------------------------------------------------------------------------
 # Nonparametric estimates
@@ -129,15 +125,11 @@ def estimate_frf_welch(u: SignalRecord, y: SignalRecord,
 
     suu = np.zeros(seg)
     syu = np.zeros(seg, dtype=complex)
-    count = 0
     for start in range(0, n - seg + 1, step):
         xu = np.fft.fft(win * x[start:start + seg])
         xy = np.fft.fft(win * z[start:start + seg])
         suu += np.abs(xu) ** 2
         syu += xy * np.conj(xu)
-        count += 1
-    if count == 0:
-        raise InvalidSpecError("no full segments available")
 
     bins = np.arange(1, seg // 2 + 1)
     floor = _EXCITED_MIN_REL * float(np.max(suu))

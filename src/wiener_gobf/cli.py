@@ -101,6 +101,10 @@ class _GaussianConfig:
     variance: float = 1.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_samples < 1:
+            raise InvalidSpecError("'n_samples' must be >= 1")
+
 
 # ---------------------------------------------------------------------------
 # Subcommands

@@ -165,6 +165,11 @@ class StudyConfig:
                 raise InvalidSpecError(f"{key} must not repeat an entry")
         if any(nf < 1 for nf in self.n_freqs_grid):
             raise InvalidSpecError("'n_freqs_grid' entries must be >= 1")
+        n_poles = len(self.system.g.a) - 1
+        if self.kind in (CONVERGENCE, POLE_RATE) and self.n_a != n_poles:
+            raise InvalidSpecError(
+                f"'n_a' must be {n_poles}, the pole count of the system's g, "
+                f"for a {self.kind} study, not {self.n_a}")
         if self.validation_n_freqs < 1:
             raise InvalidSpecError("'validation_n_freqs' must be >= 1")
         for n_rep in self.n_rep_set:
@@ -436,15 +441,26 @@ def _convergence_validation(cfg: StudyConfig):
     return u_val, y_val
 
 
-def _periodic_trial_data(cfg: StudyConfig, trial: int, nf: int):
-    """Fresh-phase multisine with ``nf`` excited bins and the system's
-    steady-state response to it."""
+def _failed(cfg: StudyConfig, trial: int, exc: Exception,
+            **condition) -> TrialRecord:
+    """The failed record of one condition of a trial, with the message."""
+    return TrialRecord(cfg.kind, trial, failed=True, message=str(exc),
+                       **condition)
+
+
+def _trial_bla(cfg: StudyConfig, trial: int, nf: int):
+    """(u, y, stabilized poles, fit, pole error) of a periodic trial: a
+    fresh-phase multisine with ``nf`` excited bins, the system's
+    steady-state response, and the BLA fit on them.  The fit reads only
+    the orders of ``cfg``, so any ``n_rep`` serves."""
     u = generate_multisine(example1_multisine_spec(
         nf, seed=derive_seed(cfg.base_seed, "trial", trial, "nf", nf)))
     system = cfg.system.with_noise_seed(
         derive_seed(cfg.base_seed, "trial", trial, "noise", nf))
     _, y = simulate(system, u)
-    return u, y
+    pole_set, fit = estimate_bla_poles(u, y, cfg.identify_config(n_rep=1))
+    return u, y, pole_set, fit, min_max_pole_distance(fit.poles,
+                                                      tf_poles(cfg.system.g))
 
 
 def _convergence_trial(cfg: StudyConfig, trial: int, validation) -> list:
@@ -453,28 +469,15 @@ def _convergence_trial(cfg: StudyConfig, trial: int, validation) -> list:
     per N_F, by the largest n_rep's bank; each model takes the leading
     columns, which are its own bank's outputs bit for bit."""
     u_val, y_val = validation
-    truth = tf_poles(cfg.system.g)
     records = []
-
-    def fail_all(nf, exc):
-        records.extend(TrialRecord(cfg.kind, trial, n_freqs=nf, n_rep=n_rep,
-                                   failed=True, message=str(exc))
-                       for n_rep in cfg.n_rep_set)
-
     for nf in cfg.n_freqs_grid:
-        u, y = _periodic_trial_data(cfg, trial, nf)
-        icfg = cfg.identify_config(n_rep=max(cfg.n_rep_set))
         try:
-            pole_set, fit = estimate_bla_poles(u, y, icfg)
-            pole_error = min_max_pole_distance(fit.poles, truth)
-        except EstimationError as exc:
-            fail_all(nf, exc)
-            continue
-        try:
-            largest = build_bank(pole_set, icfg.n_rep)
+            u, y, pole_set, fit, pole_error = _trial_bla(cfg, trial, nf)
+            largest = build_bank(pole_set, max(cfg.n_rep_set))
             X, X_val = bank_outputs(largest, u), bank_outputs(largest, u_val)
-        except Exception as exc:  # every n_rep model shares this pass
-            fail_all(nf, exc)
+        except Exception as exc:  # every n_rep model shares the fit and pass
+            records.extend(_failed(cfg, trial, exc, n_freqs=nf, n_rep=n_rep)
+                           for n_rep in cfg.n_rep_set)
             continue
 
         for n_rep in cfg.n_rep_set:
@@ -489,25 +492,19 @@ def _convergence_trial(cfg: StudyConfig, trial: int, validation) -> list:
                     pole_error=pole_error,
                 ))
             except Exception as exc:  # robust statistics over silent skew
-                records.append(TrialRecord(cfg.kind, trial, n_freqs=nf,
-                                           n_rep=n_rep, failed=True,
-                                           message=str(exc)))
+                records.append(_failed(cfg, trial, exc, n_freqs=nf, n_rep=n_rep))
     return records
 
 
 def _pole_rate_trial(cfg: StudyConfig, trial: int, validation) -> list:
-    truth = tf_poles(cfg.system.g)
     records = []
     for nf in cfg.n_freqs_grid:
-        u, y = _periodic_trial_data(cfg, trial, nf)
         try:
-            _, fit = estimate_bla_poles(u, y, cfg.identify_config(1))
-            records.append(TrialRecord(
-                cfg.kind, trial, n_freqs=nf,
-                pole_error=min_max_pole_distance(fit.poles, truth)))
-        except EstimationError as exc:
+            pole_error = _trial_bla(cfg, trial, nf)[-1]
             records.append(TrialRecord(cfg.kind, trial, n_freqs=nf,
-                                       failed=True, message=str(exc)))
+                                       pole_error=pole_error))
+        except EstimationError as exc:
+            records.append(_failed(cfg, trial, exc, n_freqs=nf))
     return records
 
 
@@ -552,8 +549,7 @@ def _noise_trial(cfg: StudyConfig, trial: int, validation) -> list:
             records.append(TrialRecord(cfg.kind, trial, n_rep=n_rep,
                                        nrmse=err, noise_floor=floor))
         except Exception as exc:
-            records.append(TrialRecord(cfg.kind, trial, n_rep=n_rep,
-                                       failed=True, message=str(exc)))
+            records.append(_failed(cfg, trial, exc, n_rep=n_rep))
     if scores:
         best = min(scores, key=scores.get)
         for rec in records:
@@ -614,6 +610,9 @@ def run_study(cfg: StudyConfig, jobs: int = 1, prior=()) -> StudyResult:
     runner = _TRIAL_RUNNERS[cfg.kind]
     validation = _convergence_validation(cfg) if cfg.kind == CONVERGENCE else None
     done = {r.trial for r in prior}
+    if any(t >= cfg.n_trials for t in done):
+        raise InvalidSpecError(f"'n_trials' is {cfg.n_trials}, but the prior "
+                               f"records hold trial {max(done)}")
     trials = [t for t in range(cfg.n_trials) if t not in done]
 
     records = list(prior)

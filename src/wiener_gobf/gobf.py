@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidSpecError, UnstableFilterError
 from .polymodel import fit_ls
 from .ratfun import RationalTF, filter_time
-from .signals import SignalRecord, dft
+from .signals import SignalRecord
 
 _PROJECTION_PERIOD = 8192
 
@@ -164,7 +164,7 @@ def _filtered_columns(bank: GobfBank, u: SignalRecord):
     samples = u.samples
     if u.periodic:
         n = len(samples)
-        spectrum = dft(samples)
+        spectrum = np.fft.fft(samples)
         for l, col in _cascade(seq, np.exp(2j * np.pi * np.arange(n) / n), read):
             yield l, np.fft.ifft(col * spectrum)
     else:

@@ -174,12 +174,9 @@ class WienerModel:
                 "poly": self.poly.to_json_dict(),
                 "provenance": self.provenance}
 
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_json_dict(), indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+    def to_json(self, path) -> None:
+        with open(path, "w") as fh:
+            json.dump(self.to_json_dict(), fh, indent=2)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "WienerModel":

@@ -63,9 +63,6 @@ class ChannelStandardization:
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "scale", np.asarray(self.scale, dtype=float))
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.mean) / self.scale
-
     @classmethod
     def from_data(cls, X: np.ndarray) -> "ChannelStandardization":
         mean = X.mean(axis=0)
@@ -237,6 +234,9 @@ class MultiPolyModel:
                     f"non-negative ints summing to at most degree {degree}")
         std = None
         if "standardization" in doc:
+            if basis != HERMITE:
+                raise InvalidSpecError(
+                    "a standardization applies to the hermite basis only")
             std_doc = doc["standardization"]
             mean, scale = std_doc["mean"], std_doc["scale"]
             if not all(type(v) is list and len(v) == n_channels

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError, SingularityError, UnstableFilterError, json_kwargs
-from .signals import SignalRecord, dft, idft
+from .signals import SignalRecord
 
 _NEAR_REAL_TOL = 1e-8
 
@@ -86,5 +86,5 @@ def filter_time(tf: RationalTF, u: SignalRecord) -> SignalRecord:
         raise UnstableFilterError("periodic-steady-state filtering needs a stable filter")
     n = len(u.samples)
     om = 2.0 * np.pi * np.arange(n) / n
-    y = idft(freq_response(tf, om) * dft(u.samples)).real
+    y = np.fft.ifft(freq_response(tf, om) * np.fft.fft(u.samples)).real
     return SignalRecord(samples=y, periodic=True, period_samples=u.period_samples)

@@ -1,8 +1,7 @@
 """Excitation and disturbance signals.
 
-Random-phase multisines, Gaussian inputs, and filtered-noise disturbances,
-plus the DFT conventions used throughout the toolkit (forward transform
-unnormalized, inverse carries the 1/N factor).
+Random-phase multisines, Gaussian inputs, filtered-noise disturbances,
+the signal record and its file formats, and seeded Philox streams.
 """
 
 from __future__ import annotations
@@ -52,23 +51,6 @@ def derive_seed(seed: int, *tags) -> int:
 def rms(x) -> float:
     x = np.asarray(x, dtype=float)
     return float(np.sqrt(np.mean(x**2)))
-
-
-# ---------------------------------------------------------------------------
-# DFT conventions
-# ---------------------------------------------------------------------------
-
-def dft(samples) -> np.ndarray:
-    """Forward DFT, X(k) = sum_t x(t) exp(-j 2 pi k t / N)."""
-    samples = np.asarray(samples)
-    if samples.size < 1:
-        raise InvalidSpecError("dft requires at least one sample")
-    return np.fft.fft(samples)
-
-
-def idft(spectrum) -> np.ndarray:
-    """Inverse DFT with the 1/N normalization; round-trips dft exactly."""
-    return np.fft.ifft(np.asarray(spectrum))
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +183,6 @@ class MultisineSpec:
     sample_period: float = 1.0
     target_rms: float = 1.0
     seed: int = 0
-
-    @property
-    def f_max(self) -> float:
-        """Highest excited frequency in hertz; f_max * N * T_s == N_F."""
-        return self.n_freqs / (self.n_samples * self.sample_period)
 
     def validate(self) -> None:
         if self.n_samples < 2:

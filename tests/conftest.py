@@ -1,5 +1,11 @@
 import sys
 
+from hypothesis import settings
+
+# Every run of the property tests draws the same examples.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance PASS/FAIL lines even when capture is on."""

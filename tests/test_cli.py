@@ -379,6 +379,22 @@ class TestStudy:
                      "--out-dir", str(out)]) == 2
         assert (out / "poles_records.csv").read_text() == records
 
+    def test_resume_refuses_fewer_trials_than_recorded(self, tmp_path, out,
+                                                       capsys):
+        cfg = write_json(tmp_path / "poles.json", {
+            "kind": "pole_rate", "system": {"preset": "example1"},
+            "n_trials": 4, "base_seed": 1, "n_freqs_grid": [32],
+            "name": "poles"})
+        assert main(["study", "--config", cfg, "--jobs", "1",
+                     "--out-dir", str(out)]) == 0
+        records = (out / "poles_records.csv").read_text()
+        capsys.readouterr()
+        assert main(["study", "--config", cfg, "--trials", "2", "--jobs", "1",
+                     "--resume", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "'n_trials'" in err[0], err
+        assert (out / "poles_records.csv").read_text() == records
+
     def test_named_studies_share_an_out_dir(self, tmp_path, out):
         """Each study's manifest lists plot data that exists and holds its
         own curve, not that of a study written later."""
@@ -431,6 +447,8 @@ MALFORMED_INPUT_CASES = {
         2, "degre"),
     "generate-wrong-type-n_samples": (
         ["generate", "--config", "{gen_n_samples}"], 2, "'n_samples'"),
+    "generate-zero-gaussian-n_samples": (
+        ["generate", "--config", "{gen_n_samples_zero}"], 2, "'n_samples'"),
     "generate-wrong-type-seed": (["generate", "--config", "{gen_seed}"], 2,
                                  "'seed'"),
     "simulate-wrong-type-g": (
@@ -449,6 +467,8 @@ MALFORMED_INPUT_CASES = {
         ["identify", "--config", "{identify_welch_zero}", "--u", "{u}", "--y",
          "{u}"], 2, "'welch_segment'"),
     "study-negative-n_a": (["study", "--config", "{study_n_a}"], 2, "'n_a'"),
+    "study-n_a-not-the-system-pole-count": (
+        ["study", "--config", "{study_n_a_two}"], 2, "'n_a'"),
     "study-zero-n_freqs-entry": (["study", "--config", "{study_n_freqs_zero}"],
                                  2, "'n_freqs_grid'"),
     "study-zero-validation_n_freqs": (
@@ -505,6 +525,9 @@ MALFORMED_INPUT_CASES = {
         "standardization"),
     "predict-string-standardization": (
         ["predict", "--model", "{poly_std_string}", "--u", "{u}"], 2,
+        "standardization"),
+    "predict-monomial-standardization": (
+        ["predict", "--model", "{poly_std_monomial}", "--u", "{u}"], 2,
         "standardization"),
     "predict-float-n_rep": (
         ["predict", "--model", "{bank_n_rep_float}", "--u", "{u}"], 2, "n_rep"),
@@ -653,6 +676,8 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
             "n_a": 1, "n_b": 1, "n_rep": 1, "degree": 1, "degre": 3}),
         "gen_n_samples": write_json(tmp_path / "gen_n.json", {
             "kind": "multisine", "n_samples": "abc", "n_freqs": 8}),
+        "gen_n_samples_zero": write_json(tmp_path / "gen_n_zero.json", {
+            "kind": "gaussian", "n_samples": 0}),
         "gen_seed": write_json(tmp_path / "gen_seed.json", {
             "kind": "gaussian", "n_samples": 64, "seed": "x"}),
         "system_g": write_json(tmp_path / "system_g.json",
@@ -691,6 +716,9 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
         "study_n_a": write_json(tmp_path / "study_n_a.json", {
             "kind": "pole_rate", "system": "example1", "n_trials": 1,
             "n_freqs_grid": [32], "n_a": -1}),
+        "study_n_a_two": write_json(tmp_path / "study_n_a_two.json", {
+            "kind": "pole_rate", "system": "example1", "n_trials": 1,
+            "n_freqs_grid": [32], "n_a": 2}),
         "study_n_freqs_zero": write_json(tmp_path / "study_n_freqs_zero.json", {
             "kind": "pole_rate", "system": "example1", "n_trials": 1,
             "n_freqs_grid": [64, 0]}),
@@ -733,11 +761,17 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
             "poly_exponent_float": static_model(exponents=[1.0]),
             "poly_exponent_negative": static_model(exponents=[-1]),
             "poly_std_length": static_model(
+                basis="hermite",
                 standardization={"mean": [0.0, 0.0], "scale": [1.0, 1.0]}),
             "poly_std_zero": static_model(
+                basis="hermite",
                 standardization={"mean": [0.0], "scale": [0.0]}),
             "poly_std_string": static_model(
+                basis="hermite",
                 standardization={"mean": ["0.5"], "scale": [1.0]}),
+            # evaluate reads a standardization in the hermite basis only
+            "poly_std_monomial": static_model(
+                standardization={"mean": [0.0], "scale": [1.0]}),
             "bank_n_rep_float": dict(static_model(),
                                      bank={"base_poles": [], "n_rep": 1.9}),
             "bank_lone_pole": dict(static_model(), bank={

@@ -39,7 +39,6 @@ from wiener_gobf.pipeline import (
     StaticNonlinearity,
     WienerModel,
     WienerSystem,
-    estimate_bla_poles,
     nrmse,
     predict,
     sup_error,
@@ -79,10 +78,7 @@ def convergence_records_one_bank_per_model(cfg, trial=0):
     u_val, y_val = experiments._convergence_validation(cfg)
     records = []
     for nf in cfg.n_freqs_grid:
-        u, y = experiments._periodic_trial_data(cfg, trial, nf)
-        pole_set, fit = estimate_bla_poles(
-            u, y, cfg.identify_config(max(cfg.n_rep_set)))
-        pole_error = min_max_pole_distance(fit.poles, poles(cfg.system.g))
+        u, y, pole_set, fit, pole_error = experiments._trial_bla(cfg, trial, nf)
         for n_rep in cfg.n_rep_set:
             bank = build_bank(pole_set, n_rep)
             poly = fit_poly_model(bank_outputs(bank, u), y.samples,
@@ -433,6 +429,22 @@ class TestStudies:
             with pytest.raises(InvalidSpecError):
                 StudyConfig(kind=kind, system=example1_system(),
                             n_trials=1).validate()
+
+    @pytest.mark.parametrize("kind", [CONVERGENCE, POLE_RATE])
+    def test_n_a_other_than_the_system_pole_count_rejected(self, kind):
+        """The pole error matches every estimate to a true pole."""
+        with pytest.raises(InvalidSpecError, match="'n_a' must be 3"):
+            StudyConfig(kind=kind, system=example1_system(), n_trials=1,
+                        n_a=2).validate()
+        StudyConfig(kind=NOISE, system=example1_system(), n_trials=1,
+                    n_a=2).validate()
+
+    def test_prior_trial_beyond_n_trials_rejected(self):
+        cfg = StudyConfig(kind=POLE_RATE, system=example1_system(),
+                          n_trials=2, n_freqs_grid=(32,))
+        prior = [TrialRecord(POLE_RATE, 3, n_freqs=32, pole_error=0.1)]
+        with pytest.raises(InvalidSpecError, match="'n_trials' is 2"):
+            run_study(cfg, prior=prior)
 
 
 class TestStudyConfigJson:

@@ -89,7 +89,7 @@ class TestBuildBank:
             build_bank(np.array([0.5 + 0.3j, 0.5 - 0.30000000000000004j]), 1)
 
     @given(denominators, st.integers(min_value=1, max_value=3))
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300, deadline=None)
     def test_poles_of_real_denominators_make_a_closed_bank(self, a, n_rep):
         """Any real denominator's stabilized poles make a bank whose complex
         base poles each have their conjugate in the set bit for bit, and

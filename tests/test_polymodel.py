@@ -40,8 +40,7 @@ def hard_trial_record():
     cfg = experiments.StudyConfig(kind=experiments.CONVERGENCE,
                                   system=experiments.example1_system(),
                                   n_trials=1, base_seed=1_000_013)
-    u, y = experiments._periodic_trial_data(cfg, 0, 341)
-    pole_set, _ = pipeline.estimate_bla_poles(u, y, cfg.identify_config(n_rep=3))
+    u, y, pole_set, *_ = experiments._trial_bla(cfg, 0, 341)
     return u, y, pole_set
 
 
@@ -114,7 +113,7 @@ def channel_poly(x, e, basis):
 def reference_columns(X, indices, basis, std):
     """One regressor column per multi-index: the product over channels, in
     channel order, of per-channel polynomials."""
-    Xs = std.apply(X) if basis == HERMITE else X
+    Xs = (X - std.mean) / std.scale if basis == HERMITE else X
     psi = np.empty((X.shape[0], len(indices)))
     for j, expo in enumerate(indices):
         col = np.ones(X.shape[0])
@@ -127,7 +126,8 @@ def reference_columns(X, indices, basis, std):
 
 def reference_evaluate(model, X):
     """The coefficient-first streaming sum evaluate has always computed."""
-    Xs = model.standardization.apply(X) if model.basis == HERMITE else X
+    std = model.standardization
+    Xs = (X - std.mean) / std.scale if model.basis == HERMITE else X
     out = np.zeros(X.shape[0])
     for expo, coef in zip(model.indices, model.coefficients):
         if coef == 0.0:
