@@ -151,7 +151,7 @@ class StudyConfig:
     n_samples: int = 1000
     welch_segment: Optional[int] = 250
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in _STUDY_KINDS:
             raise InvalidSpecError(f"unknown study kind {self.kind!r}")
         if self.n_trials < 0:
@@ -172,8 +172,17 @@ class StudyConfig:
                 f"for a {self.kind} study, not {self.n_a}")
         if self.validation_n_freqs < 1:
             raise InvalidSpecError("'validation_n_freqs' must be >= 1")
+        if self.kind == NOISE:
+            if self.n_samples < 1:
+                raise InvalidSpecError(
+                    f"'n_samples' must be >= 1, not {self.n_samples}")
+            if self.welch_segment is not None \
+                    and self.welch_segment > self.n_samples:
+                raise InvalidSpecError(
+                    f"'welch_segment' is {self.welch_segment}, longer than "
+                    f"the 'n_samples' = {self.n_samples} records it averages")
         for n_rep in self.n_rep_set:
-            self.identify_config(n_rep).validate()
+            self.identify_config(n_rep)
 
     def identify_config(self, n_rep: int) -> IdentifyConfig:
         return IdentifyConfig(
@@ -606,7 +615,6 @@ def run_study(cfg: StudyConfig, jobs: int = 1, prior=()) -> StudyResult:
     worker processes, each with one BLAS thread; return ``prior`` and the
     new records stably sorted by trial, so each trial keeps its runner's
     order and a resumed study equals a fresh one."""
-    cfg.validate()
     runner = _TRIAL_RUNNERS[cfg.kind]
     validation = _convergence_validation(cfg) if cfg.kind == CONVERGENCE else None
     done = {r.trial for r in prior}

@@ -136,7 +136,7 @@ class IdentifyConfig:
     basis: str = polymodel.HERMITE
     welch_segment: Optional[int] = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_rep < 0:
             raise InvalidSpecError("n_rep must be >= 0")
         if self.degree < 0:
@@ -193,6 +193,11 @@ class WienerModel:
 def estimate_bla_poles(u: SignalRecord, y: SignalRecord,
                        cfg: IdentifyConfig) -> tuple[np.ndarray, bla.BlaFitResult]:
     """Steps 1a-1c: nonparametric FRF, rational fit, stabilized poles."""
+    if not u.periodic and cfg.welch_segment is not None \
+            and cfg.welch_segment > len(u.samples):
+        raise InvalidSpecError(
+            f"'welch_segment' is {cfg.welch_segment}, longer than the "
+            f"{len(u.samples)}-sample record")
     try:
         if u.periodic:
             frf = bla.estimate_frf(u, y)
@@ -237,7 +242,6 @@ def _assemble(u: SignalRecord, y: SignalRecord, bank: gobf.GobfBank,
 
 def identify(u: SignalRecord, y: SignalRecord, cfg: IdentifyConfig) -> WienerModel:
     """Full three-step identification on one estimation record."""
-    cfg.validate()
     if len(u.samples) != len(y.samples):
         raise InvalidSpecError("input and output records must have equal length")
 

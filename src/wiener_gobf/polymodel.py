@@ -9,8 +9,9 @@ space with far better conditioning and is the default for estimation.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -178,25 +179,36 @@ def fit_ls(psi: np.ndarray, y) -> np.ndarray:
 
 @dataclass
 class MultiPolyModel:
-    """g(x_0..x_n): multi-index -> coefficient map with its basis convention."""
+    """g(x_0..x_n): one coefficient per multi-index of
+    ``enumerate_multi_indices(n_channels, degree)``, in that order, with its
+    basis convention; a standardization belongs to the hermite basis."""
 
     n_channels: int
     degree: int
     basis: str
     coefficients: np.ndarray
     standardization: Optional[ChannelStandardization] = None
-    indices: list = field(default_factory=list)
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if not self.indices:
-            self.indices = enumerate_multi_indices(self.n_channels, self.degree)
-        expected = len(self.indices)
+        if self.basis not in (MONOMIAL, HERMITE):
+            raise InvalidSpecError(f"unknown basis {self.basis!r}")
+        std = self.standardization
+        if std is not None and not (self.basis == HERMITE and std.mean.shape
+                                    == std.scale.shape == (self.n_channels,)):
+            raise InvalidSpecError(
+                f"a standardization belongs to a hermite model and has "
+                f"{self.n_channels} means and scales")
+        if self.n_channels < 1 or self.degree < 0:
+            raise InvalidSpecError("n_channels must be >= 1 and degree >= 0")
+        # Counted before enumerating, so a huge degree is refused at once.
+        expected = math.comb(self.n_channels + self.degree, self.degree)
         if len(self.coefficients) != expected:
             raise InvalidSpecError(
                 f"expected {expected} coefficients, got {len(self.coefficients)}")
         if not np.all(np.isfinite(self.coefficients)):
             raise InvalidSpecError("coefficients must be finite")
+        self._indices = enumerate_multi_indices(self.n_channels, self.degree)
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -204,7 +216,7 @@ class MultiPolyModel:
             "degree": self.degree,
             "basis": self.basis,
             "terms": [{"exponents": list(idx), "coefficient": float(c)}
-                      for idx, c in zip(self.indices, self.coefficients)],
+                      for idx, c in zip(self._indices, self.coefficients)],
         }
         if self.standardization is not None:
             doc["standardization"] = {
@@ -215,49 +227,39 @@ class MultiPolyModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MultiPolyModel":
-        """Read the polynomial of a model file.  The file is outside input, so
-        every term is checked here; the constructor trusts fitted models."""
-        n_channels, degree, basis = doc["n_channels"], doc["degree"], doc["basis"]
-        if basis not in (MONOMIAL, HERMITE):
-            raise InvalidSpecError(f"unknown basis {basis!r}")
-        if type(n_channels) is not int or type(degree) is not int or degree < 0:
-            raise InvalidSpecError("n_channels and degree must be ints, degree >= 0")
+        """Read the polynomial of a model file, whose terms list the exponents
+        of ``enumerate_multi_indices``, as ints, in that order."""
+        n_channels, degree = doc["n_channels"], doc["degree"]
+        if type(n_channels) is not int or type(degree) is not int:
+            raise InvalidSpecError("n_channels and degree must be ints")
         coefficients = [t["coefficient"] for t in doc["terms"]]
         if any(type(c) not in (int, float) for c in coefficients):
             raise InvalidSpecError("term coefficients must be numbers")
-        indices = [tuple(t["exponents"]) for t in doc["terms"]]
-        for expo in indices:
-            if any(type(e) is not int or e < 0 for e in expo) \
-                    or len(expo) != n_channels or sum(expo) > degree:
-                raise InvalidSpecError(
-                    f"term exponents {list(expo)} must be {n_channels} "
-                    f"non-negative ints summing to at most degree {degree}")
         std = None
         if "standardization" in doc:
-            if basis != HERMITE:
-                raise InvalidSpecError(
-                    "a standardization applies to the hermite basis only")
             std_doc = doc["standardization"]
             mean, scale = std_doc["mean"], std_doc["scale"]
-            if not all(type(v) is list and len(v) == n_channels
-                       and all(type(x) in (int, float) for x in v)
+            if not all(type(v) is list and all(type(x) in (int, float) for x in v)
                        for v in (mean, scale)):
                 raise InvalidSpecError(
-                    f"standardization needs {n_channels} numeric means and scales")
+                    "standardization means and scales must be lists of numbers")
             mean, scale = np.array(mean, dtype=float), np.array(scale, dtype=float)
             if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale))
                     and np.all(scale > 0)):
                 raise InvalidSpecError(
                     "standardization means must be finite and scales finite and > 0")
             std = ChannelStandardization(mean=mean, scale=scale)
-        return cls(
-            n_channels=n_channels,
-            degree=degree,
-            basis=basis,
-            coefficients=np.array(coefficients),
-            standardization=std,
-            indices=indices,
-        )
+        model = cls(n_channels=n_channels, degree=degree, basis=doc["basis"],
+                    coefficients=np.array(coefficients, dtype=float),
+                    standardization=std)
+        exponents = [t["exponents"] for t in doc["terms"]]
+        if exponents != [list(idx) for idx in model._indices] or any(
+                type(e) is not int for expo in exponents for e in expo):
+            raise InvalidSpecError(
+                f"term exponents must be the {len(model._indices)} multi-indices "
+                f"of {n_channels} channels up to degree {degree}, as ints, in "
+                f"graded order")
+        return model
 
 
 def fit_poly_model(X: np.ndarray, y, degree: int,
@@ -284,7 +286,7 @@ def evaluate(model: MultiPolyModel, X: np.ndarray) -> np.ndarray:
     table = _channel_power_table(X, model.degree, model.basis,
                                  model.standardization)
     terms = [(coef, [table[e][ch] for ch, e in enumerate(expo) if e])
-             for expo, coef in zip(model.indices, model.coefficients)
+             for expo, coef in zip(model._indices, model.coefficients)
              if coef != 0.0]
     out = np.zeros(len(X))
     col = np.empty(min(len(X), ROW_BLOCK))

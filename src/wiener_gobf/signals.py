@@ -180,11 +180,10 @@ class MultisineSpec:
 
     n_samples: int
     n_freqs: int
-    sample_period: float = 1.0
     target_rms: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_samples < 2:
             raise InvalidSpecError("n_samples must be at least 2")
         if not 1 <= self.n_freqs <= self.n_samples // 2:
@@ -192,8 +191,6 @@ class MultisineSpec:
                 f"n_freqs must satisfy 1 <= N_F <= N/2 "
                 f"(got N_F={self.n_freqs}, N={self.n_samples})"
             )
-        if self.sample_period <= 0:
-            raise InvalidSpecError("sample_period must be positive")
         if self.target_rms <= 0:
             raise InvalidSpecError("target_rms must be positive")
 
@@ -202,16 +199,13 @@ class MultisineSpec:
             "kind": "multisine",
             "n_samples": self.n_samples,
             "n_freqs": self.n_freqs,
-            "sample_period": self.sample_period,
             "target_rms": self.target_rms,
             "seed": self.seed,
-            "amplitude_profile": "flat",  # kept so generated files are unchanged
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MultisineSpec":
-        """A spec from the keys of ``to_json_dict`` other than ``kind`` and
-        ``amplitude_profile``."""
+        """A spec from the keys of ``to_json_dict`` other than ``kind``."""
         return cls(**json_kwargs(cls, doc))
 
 
@@ -222,7 +216,6 @@ def generate_multisine(spec: MultisineSpec) -> SignalRecord:
     (seed, "multisine-phases") stream.  The output rms is exactly
     ``spec.target_rms`` and the record is periodic with period N.
     """
-    spec.validate()
     n, nf = spec.n_samples, spec.n_freqs
 
     rng = derive_rng(spec.seed, "multisine-phases")

@@ -379,6 +379,20 @@ class TestStudy:
                      "--out-dir", str(out)]) == 2
         assert (out / "poles_records.csv").read_text() == records
 
+    def test_bad_config_reported_before_resume_reads_a_file(self, tmp_path,
+                                                             out, capsys):
+        """The config checks itself when it is read, so neither the missing
+        manifest nor the unreadable records are reached."""
+        cfg = write_json(tmp_path / "poles.json", {
+            "kind": "pole_rate", "system": {"preset": "example1"},
+            "n_trials": 2, "n_freqs_grid": [32], "n_rep_set": [-1],
+            "name": "poles"})
+        (out / "poles_records.csv").write_text("not a records file\n")
+        assert main(["study", "--config", cfg, "--jobs", "1", "--resume",
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "n_rep must be >= 0" in err[0], err
+
     def test_resume_refuses_fewer_trials_than_recorded(self, tmp_path, out,
                                                        capsys):
         cfg = write_json(tmp_path / "poles.json", {
@@ -592,6 +606,22 @@ MALFORMED_INPUT_CASES = {
     "simulate-noiseless-unstable-shaping-filter": (
         ["simulate", "--config", "{unstable_shaping}", "--input", "{u}"], 3,
         "unit circle"),
+    # y = 2x, had the file been read as written
+    "predict-repeated-term": (
+        ["predict", "--model", "{poly_term_twice}", "--u", "{u}"], 2,
+        "exponents"),
+    "predict-reordered-terms": (
+        ["predict", "--model", "{poly_terms_reordered}", "--u", "{u}"], 2,
+        "exponents"),
+    "generate-sample_period": (
+        ["generate", "--config", "{gen_sample_period}"], 2, "sample_period"),
+    "study-welch_segment-longer-than-n_samples": (
+        ["study", "--config", "{study_welch_long}"], 2, "'welch_segment'"),
+    "identify-welch_segment-longer-than-the-record": (
+        ["identify", "--config", "{identify_welch_long}", "--u", "{u_csv}",
+         "--y", "{u_csv}"], 2, "'welch_segment'"),
+    "study-zero-noise-n_samples": (
+        ["study", "--config", "{study_n_samples_zero}"], 2, "'n_samples'"),
 }
 
 # Options a subcommand does not take: argparse rejects them with exit 2.
@@ -649,6 +679,7 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
         (tmp_path / f"{key}.csv").write_text(body)
     files = {
         "u": gen_multisine(tmp_path, out, n=256, nf=32),
+        "u_csv": out / "u.csv",  # the same samples, aperiodic
         "garbage": garbage,
         "directory": tmp_path,
         "non_finite": non_finite,
@@ -743,6 +774,20 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
             tmp_path / "unstable_shaping.json",
             dict(IDENTITY_SYSTEM, noise={
                 "variance": 0, "shaping_filter": {"b": [1.0], "a": [1.0, -1.5]}})),
+        "gen_sample_period": write_json(tmp_path / "gen_sample_period.json", {
+            "kind": "multisine", "n_samples": 64, "n_freqs": 8,
+            "sample_period": 0.5}),
+        "study_welch_long": write_json(tmp_path / "study_welch_long.json", {
+            "kind": "noise", "system": {"preset": "example2_polynomial"},
+            "n_trials": 1, "n_rep_set": [1], "n_a": 2, "n_b": 2,
+            "n_samples": 100, "welch_segment": 200}),
+        "identify_welch_long": write_json(tmp_path / "id_welch_long.json", {
+            "n_a": 1, "n_b": 1, "n_rep": 1, "degree": 1, "welch_segment": 512}),
+        "study_n_samples_zero": write_json(
+            tmp_path / "study_n_samples_zero.json", {
+                "kind": "noise", "system": {"preset": "example2_polynomial"},
+                "n_trials": 1, "n_rep_set": [1], "n_a": 2, "n_b": 2,
+                "n_samples": 0}),
         "study_negative_variance": write_json(
             tmp_path / "study_negative_variance.json", {
                 "kind": "noise", "n_trials": 1, "n_rep_set": [1],
@@ -760,6 +805,11 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
             "poly_exponents_long": static_model(exponents=[0, 1]),
             "poly_exponent_float": static_model(exponents=[1.0]),
             "poly_exponent_negative": static_model(exponents=[-1]),
+            "poly_term_twice": static_model(terms=[
+                {"exponents": [1], "coefficient": 1.0}] * 2),
+            "poly_terms_reordered": static_model(terms=[
+                {"exponents": [1], "coefficient": 1.0},
+                {"exponents": [0], "coefficient": 0.0}]),
             "poly_std_length": static_model(
                 basis="hermite",
                 standardization={"mean": [0.0, 0.0], "scale": [1.0, 1.0]}),

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import wiener_gobf
 from wiener_gobf import experiments
-from wiener_gobf.errors import InvalidSpecError
+from wiener_gobf.errors import EstimationError, InvalidSpecError
 from wiener_gobf.experiments import (
     CONVERGENCE,
     EX2_POLYNOMIAL_COEFFICIENTS,
@@ -384,12 +384,16 @@ class TestStudies:
         expected = nrmse(y_val, predict(model, u_val), discard=discard)
         np.testing.assert_allclose(rec.nrmse, expected, rtol=1e-12)
 
-    def test_failed_trials_are_recorded_and_excluded(self):
-        """A config whose identification cannot run yields failure-tagged
-        records with the stage message, counted but excluded from aggregates."""
+    def test_failed_trials_are_recorded_and_excluded(self, monkeypatch):
+        """Trials whose identification fails yield failure-tagged records
+        with the stage message, counted but excluded from aggregates."""
+        def failing_identify(u, y, cfg):
+            raise EstimationError("frf", "no usable frequency lines")
+
+        monkeypatch.setattr(experiments, "identify", failing_identify)
         cfg = StudyConfig(kind=NOISE, system=example2_polynomial_system(),
                           n_trials=2, base_seed=9, n_rep_set=(1,),
-                          n_a=2, n_b=2, n_samples=100, welch_segment=5000)
+                          n_a=2, n_b=2, n_samples=100, welch_segment=50)
         result = run_study(cfg)
         assert len(result.records) == 2
         assert all(r.failed for r in result.records)
@@ -427,17 +431,26 @@ class TestStudies:
     def test_unknown_kind_rejected(self):
         for kind in ("banana", "model_select"):
             with pytest.raises(InvalidSpecError):
-                StudyConfig(kind=kind, system=example1_system(),
-                            n_trials=1).validate()
+                StudyConfig(kind=kind, system=example1_system(), n_trials=1)
 
     @pytest.mark.parametrize("kind", [CONVERGENCE, POLE_RATE])
     def test_n_a_other_than_the_system_pole_count_rejected(self, kind):
         """The pole error matches every estimate to a true pole."""
         with pytest.raises(InvalidSpecError, match="'n_a' must be 3"):
-            StudyConfig(kind=kind, system=example1_system(), n_trials=1,
-                        n_a=2).validate()
-        StudyConfig(kind=NOISE, system=example1_system(), n_trials=1,
-                    n_a=2).validate()
+            StudyConfig(kind=kind, system=example1_system(), n_trials=1, n_a=2)
+        StudyConfig(kind=NOISE, system=example1_system(), n_trials=1, n_a=2)
+
+    def test_invalid_config_cannot_be_made_by_replace(self):
+        """A config checks itself whenever it is built, so also in
+        ``replace``, for each n_rep through that n_rep's IdentifyConfig."""
+        cfg = StudyConfig(kind=NOISE, system=example2_polynomial_system(),
+                          n_trials=1, n_a=2, n_b=2)
+        for change, key in (({"n_rep_set": (1, -1)}, "n_rep"),
+                            ({"basis": "legendre"}, "basis"),
+                            ({"welch_segment": 2000}, "'welch_segment'"),
+                            ({"n_samples": 0}, "'n_samples'")):
+            with pytest.raises(InvalidSpecError, match=key):
+                replace(cfg, **change)
 
     def test_prior_trial_beyond_n_trials_rejected(self):
         cfg = StudyConfig(kind=POLE_RATE, system=example1_system(),
@@ -499,10 +512,11 @@ CONFIG_DOCUMENTS = {
     "identify": (IdentifyConfig.from_json_dict, IdentifyConfig(
         n_a=2, n_b=2, n_rep=1, degree=3, welch_segment=64).to_json_dict()),
     "study": (StudyConfig.from_json_dict,
-              tiny_convergence_config(system=example2_system()).to_json_dict()),
+              tiny_convergence_config(system=example2_system(),
+                                      n_a=2).to_json_dict()),
     "multisine": (MultisineSpec.from_json_dict,
-                  {"n_samples": 64, "n_freqs": 8, "sample_period": 0.5,
-                   "target_rms": 2.0, "seed": 3}),
+                  {"n_samples": 64, "n_freqs": 8, "target_rms": 2.0,
+                   "seed": 3}),
     "system": (system_from_json, example2_system(0.04, 8).to_json_dict()),
     "transfer_function": (RationalTF.from_json_dict,
                           example2_system().g.to_json_dict()),
@@ -510,18 +524,23 @@ CONFIG_DOCUMENTS = {
 
 
 @pytest.mark.parametrize("document", sorted(CONFIG_DOCUMENTS))
+def test_config_base_document_loads(document):
+    """Each document the test below mutates is valid as it stands."""
+    load, doc = CONFIG_DOCUMENTS[document]
+    load(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("document", sorted(CONFIG_DOCUMENTS))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_config_field_of_any_json_value_loads_or_raises_invalid_spec(document, data):
     """One field of a valid document replaced by an arbitrary JSON value:
-    the loader (and the config's own validation) returns or raises
+    the loader, which builds and so checks the config, returns or raises
     InvalidSpecError, never another exception."""
     load, doc = CONFIG_DOCUMENTS[document]
     key = data.draw(st.sampled_from(sorted(doc)))
     doc = json.loads(json.dumps(dict(doc, **{key: data.draw(JSON_VALUES)})))
     try:
-        cfg = load(doc)
-        if hasattr(cfg, "validate"):
-            cfg.validate()
+        load(doc)
     except InvalidSpecError:
         pass

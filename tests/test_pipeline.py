@@ -198,6 +198,18 @@ class TestTheRecordDecides:
         assert model.provenance["periodic"] is False
         assert model.provenance["transient_discarded"] == discard
 
+    def test_welch_segment_longer_than_the_record_is_a_config_error(self):
+        """Reported before the FRF stage, naming the key; a static model
+        reads no FRF and is fitted."""
+        u = generate_gaussian(200, seed=20)
+        _, y = simulate(example2_polynomial_system().with_noise_seed(21), u)
+        with pytest.raises(InvalidSpecError, match="'welch_segment'"):
+            identify(u, y, IdentifyConfig(n_a=2, n_b=2, n_rep=1, degree=3,
+                                          welch_segment=250))
+        static = identify(u, y, IdentifyConfig(n_a=2, n_b=2, n_rep=0, degree=3,
+                                               welch_segment=250))
+        assert static.bank.n_outputs == 1
+
 
 class TestIntermediate:
     def test_linear_truth_reconstructs_intermediate_up_to_scale(self):

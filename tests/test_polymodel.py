@@ -129,7 +129,8 @@ def reference_evaluate(model, X):
     std = model.standardization
     Xs = (X - std.mean) / std.scale if model.basis == HERMITE else X
     out = np.zeros(X.shape[0])
-    for expo, coef in zip(model.indices, model.coefficients):
+    for expo, coef in zip(enumerate_multi_indices(model.n_channels, model.degree),
+                          model.coefficients):
         if coef == 0.0:
             continue
         col = np.full(X.shape[0], coef)
@@ -420,6 +421,23 @@ class TestModel:
                                coefficients=[0.0, 1.0, 1.0])
         with pytest.raises(InvalidSpecError):
             evaluate(model, np.zeros((5, 3)))
+
+    def test_unknown_basis_rejected(self):
+        """Only the two bases evaluate knows are accepted, so a model never
+        evaluates in a basis other than its own."""
+        with pytest.raises(InvalidSpecError, match="legendre"):
+            MultiPolyModel(n_channels=1, degree=1, basis="legendre",
+                           coefficients=[0.0, 1.0])
+
+    @pytest.mark.parametrize("basis, mean", [(MONOMIAL, [0.0]),
+                                             (HERMITE, [0.0, 0.0])],
+                             ids=["monomial", "hermite-two-means"])
+    def test_standardization_outside_its_hermite_form_rejected(self, basis,
+                                                               mean):
+        std = ChannelStandardization(mean=mean, scale=[1.0] * len(mean))
+        with pytest.raises(InvalidSpecError, match="standardization"):
+            MultiPolyModel(n_channels=1, degree=1, basis=basis,
+                           coefficients=[0.0, 1.0], standardization=std)
 
     def test_json_round_trip(self):
         X = example1_channels()
