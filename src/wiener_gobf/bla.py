@@ -101,6 +101,12 @@ def estimate_frf(u: SignalRecord, y: SignalRecord) -> NonparametricBla:
     return NonparametricBla(excited_bins=bins, frf=frf, n_fft=p)
 
 
+def welch_segment_length(n: int, segment_length: Optional[int] = None) -> int:
+    """The Welch segment for an n-sample record: segment_length, or by
+    default a quarter of the record and at least 32 samples."""
+    return max(32, n // 4) if segment_length is None else int(segment_length)
+
+
 def estimate_frf_welch(u: SignalRecord, y: SignalRecord,
                        segment_length: Optional[int] = None) -> NonparametricBla:
     """Classical cross-power over auto-power FRF for random excitations.
@@ -115,9 +121,7 @@ def estimate_frf_welch(u: SignalRecord, y: SignalRecord,
     if len(x) != len(z):
         raise InvalidSpecError("input and output records must have equal length")
     n = len(x)
-    if segment_length is None:
-        segment_length = max(32, n // 4)
-    seg = int(segment_length)
+    seg = welch_segment_length(n, segment_length)
     if seg > n:
         raise InvalidSpecError("segment_length exceeds record length")
     step = max(1, seg // 2)

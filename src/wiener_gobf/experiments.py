@@ -21,6 +21,7 @@ from typing import Optional, Sequence, get_args, get_type_hints
 import numpy as np
 
 from . import polymodel
+from .bla import welch_segment_length
 from .errors import EstimationError, InvalidSpecError, json_kwargs
 from .pipeline import (
     IdentifyConfig,
@@ -176,11 +177,11 @@ class StudyConfig:
             if self.n_samples < 1:
                 raise InvalidSpecError(
                     f"'n_samples' must be >= 1, not {self.n_samples}")
-            if self.welch_segment is not None \
-                    and self.welch_segment > self.n_samples:
+            segment = welch_segment_length(self.n_samples, self.welch_segment)
+            if segment > self.n_samples:
                 raise InvalidSpecError(
-                    f"'welch_segment' is {self.welch_segment}, longer than "
-                    f"the 'n_samples' = {self.n_samples} records it averages")
+                    f"'welch_segment' is {segment}, longer than the "
+                    f"'n_samples' = {self.n_samples} records it averages")
         for n_rep in self.n_rep_set:
             self.identify_config(n_rep)
 

@@ -193,16 +193,15 @@ class WienerModel:
 def estimate_bla_poles(u: SignalRecord, y: SignalRecord,
                        cfg: IdentifyConfig) -> tuple[np.ndarray, bla.BlaFitResult]:
     """Steps 1a-1c: nonparametric FRF, rational fit, stabilized poles."""
-    if not u.periodic and cfg.welch_segment is not None \
-            and cfg.welch_segment > len(u.samples):
-        raise InvalidSpecError(
-            f"'welch_segment' is {cfg.welch_segment}, longer than the "
-            f"{len(u.samples)}-sample record")
+    segment = bla.welch_segment_length(len(u.samples), cfg.welch_segment)
+    if not u.periodic and segment > len(u.samples):
+        raise InvalidSpecError(f"'welch_segment' is {segment}, longer than "
+                               f"the {len(u.samples)}-sample record")
     try:
         if u.periodic:
             frf = bla.estimate_frf(u, y)
         else:
-            frf = bla.estimate_frf_welch(u, y, segment_length=cfg.welch_segment)
+            frf = bla.estimate_frf_welch(u, y, segment_length=segment)
     except Exception as exc:
         raise EstimationError("frf", str(exc)) from exc
     try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -28,10 +29,9 @@ HERMITE = "hermite"
 # cond(psi) fit_ls solves with gelsd instead.  Fixed a priori, not tuned.
 CHOLESKY_COND_LIMIT = 1e4
 
-# Rows per block in evaluate, so the column a term multiplies into is still
-# in cache.  The fastest of 4096-16384 at N = 65532 and 10 channels; any
-# value gives the same bits.  build_regressors fills whole columns of its
-# Fortran-ordered psi: row blocks were 9-11 % slower there at N = 65532.
+# Rows per slice in evaluate (the fastest of 4096-16384 at N = 65532 and 10
+# channels; any value gives the same bits) and in fit_ls's normal equations,
+# so a fit holds one slice of psi, and a record of ROW_BLOCK rows or fewer is one.
 ROW_BLOCK = 16384
 
 
@@ -141,31 +141,41 @@ def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
     return None if info else beta
 
 
-def fit_ls(psi: np.ndarray, y) -> np.ndarray:
+def fit_ls(psi, y) -> np.ndarray:
     """Least-squares coefficients beta minimizing ||y - psi beta||.
 
-    Cholesky of the normal equations when psi is tall and well conditioned;
-    otherwise SVD-based gelsd, whose rank deficiency yields the minimum-norm
-    solution and a warning (the overparameterized regime is expected for
-    rich banks on short records).  Neither path modifies psi or y.
+    psi is the regressor matrix, or a function that returns its rows for a
+    row slice.  Cholesky of the normal equations, summed over slices of
+    ``ROW_BLOCK`` rows, when psi is tall and well conditioned; otherwise
+    SVD-based gelsd on the whole psi, whose rank deficiency yields the
+    minimum-norm solution and a warning (the overparameterized regime is
+    expected for rich banks on short records).  Neither path modifies psi or y.
     """
     y = np.asarray(y, dtype=float)
-    if len(y) != psi.shape[0]:
+    rows_of = psi if callable(psi) else psi.__getitem__
+    if not callable(psi) and len(y) != psi.shape[0]:
         raise InvalidSpecError("target length must match the regressor rows")
-    tall = psi.shape[0] >= psi.shape[1]
-    if tall:
-        gram, rhs = psi.T @ psi, psi.T @ y
+    gram = rhs = None
+    for start in range(0, len(y), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        block = rows_of(rows)
+        if len(y) < block.shape[1]:
+            break
+        part = block.T @ block, block.T @ y[rows]
+        gram, rhs = part if gram is None else (gram + part[0], rhs + part[1])
+        del block  # before the next slice is built, so one slice is held
     # A NaN or +-inf in psi or y makes gram or rhs non-finite (0 * inf is NaN)
     # when psi has a column, so psi and y are scanned only when gram or rhs
-    # is, or before gelsd.  A finite psi whose gram overflows passes.
-    known_finite = tall and psi.shape[1] > 0 and np.all(np.isfinite(gram)) \
-        and np.all(np.isfinite(rhs))
-    if not known_finite and not (np.all(np.isfinite(psi)) and np.all(np.isfinite(y))):
-        raise InvalidSpecError("regression data must be finite")
-    if tall:
+    # is, or before gelsd.  A finite psi whose gram overflows goes to gelsd.
+    known_finite = gram is not None and gram.size > 0 \
+        and np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))
+    if known_finite:
         beta = _cholesky_solve(gram, rhs)
         if beta is not None:
             return beta
+    psi = rows_of(slice(None))
+    if not known_finite and not (np.all(np.isfinite(psi)) and np.all(np.isfinite(y))):
+        raise InvalidSpecError("regression data must be finite")
     # The finiteness check above is the only one: lstsq's own would scan psi
     # a second time.
     beta, _, rank, _ = scipy.linalg.lstsq(psi, y, lapack_driver="gelsd",
@@ -175,6 +185,11 @@ def fit_ls(psi: np.ndarray, y) -> np.ndarray:
             f"rank-deficient regression ({rank}/{psi.shape[1]}); "
             "minimum-norm solution returned", RankDeficiencyWarning)
     return beta
+
+
+def _finite_number(value) -> bool:
+    """A JSON number within float range: not a bool, NaN, inf or 10**400."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 @dataclass
@@ -233,21 +248,19 @@ class MultiPolyModel:
         if type(n_channels) is not int or type(degree) is not int:
             raise InvalidSpecError("n_channels and degree must be ints")
         coefficients = [t["coefficient"] for t in doc["terms"]]
-        if any(type(c) not in (int, float) for c in coefficients):
-            raise InvalidSpecError("term coefficients must be numbers")
+        if not all(map(_finite_number, coefficients)):
+            raise InvalidSpecError("term coefficients must be finite numbers")
         std = None
         if "standardization" in doc:
             std_doc = doc["standardization"]
             mean, scale = std_doc["mean"], std_doc["scale"]
-            if not all(type(v) is list and all(type(x) in (int, float) for x in v)
+            if not all(type(v) is list and all(map(_finite_number, v))
                        for v in (mean, scale)):
-                raise InvalidSpecError(
-                    "standardization means and scales must be lists of numbers")
+                raise InvalidSpecError("standardization means and scales must "
+                                       "be lists of finite numbers")
             mean, scale = np.array(mean, dtype=float), np.array(scale, dtype=float)
-            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale))
-                    and np.all(scale > 0)):
-                raise InvalidSpecError(
-                    "standardization means must be finite and scales finite and > 0")
+            if not np.all(scale > 0):
+                raise InvalidSpecError("standardization scales must be > 0")
             std = ChannelStandardization(mean=mean, scale=scale)
         model = cls(n_channels=n_channels, degree=degree, basis=doc["basis"],
                     coefficients=np.array(coefficients, dtype=float),
@@ -264,11 +277,13 @@ class MultiPolyModel:
 
 def fit_poly_model(X: np.ndarray, y, degree: int,
                    basis: str = HERMITE) -> MultiPolyModel:
-    """Standardize (Hermite basis), build regressors, solve, and assemble
-    the model in one step."""
+    """Standardize (Hermite basis), solve with regressors that ``fit_ls``
+    builds one row slice at a time, and assemble the model in one step."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     std = ChannelStandardization.from_data(X) if basis == HERMITE else None
-    beta = fit_ls(build_regressors(X, degree, basis, std), y)
+    if len(X) != len(y):
+        raise InvalidSpecError("target length must match the regressor rows")
+    beta = fit_ls(lambda rows: build_regressors(X[rows], degree, basis, std), y)
     return MultiPolyModel(n_channels=X.shape[1], degree=degree, basis=basis,
                           coefficients=beta, standardization=std)
 

@@ -622,6 +622,20 @@ MALFORMED_INPUT_CASES = {
          "--y", "{u_csv}"], 2, "'welch_segment'"),
     "study-zero-noise-n_samples": (
         ["study", "--config", "{study_n_samples_zero}"], 2, "'n_samples'"),
+    # float(10**400) overflows
+    "predict-coefficient-beyond-float-range": (
+        ["predict", "--model", "{poly_coefficient_huge}", "--u", "{u}"], 2,
+        "coefficients"),
+    "predict-standardization-beyond-float-range": (
+        ["predict", "--model", "{poly_std_huge}", "--u", "{u}"], 2,
+        "standardization"),
+    # the default Welch segment is at least 32 samples
+    "study-default-welch_segment-longer-than-n_samples": (
+        ["study", "--config", "{study_welch_default_long}"], 2,
+        "'welch_segment' is 32"),
+    "identify-default-welch_segment-longer-than-the-record": (
+        ["identify", "--config", "{identify}", "--u", "{tiny_json}", "--y",
+         "{tiny_json}"], 2, "'welch_segment' is 32"),
 }
 
 # Options a subcommand does not take: argparse rejects them with exit 2.
@@ -688,6 +702,8 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
         "empty_json": write_json(tmp_path / "empty.json", {"samples": []}),
         "short_json": write_json(tmp_path / "short.json",
                                  {"samples": [0.5] * 100}),
+        "tiny_json": write_json(tmp_path / "tiny.json",
+                                {"samples": [0.5, -1.0, 2.0] * 8}),
         "no_poles": write_json(tmp_path / "no_poles.json", {"bank": {}}),
         "static_model": write_json(tmp_path / "static_model.json",
                                    static_model()),
@@ -783,6 +799,11 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
             "n_samples": 100, "welch_segment": 200}),
         "identify_welch_long": write_json(tmp_path / "id_welch_long.json", {
             "n_a": 1, "n_b": 1, "n_rep": 1, "degree": 1, "welch_segment": 512}),
+        "study_welch_default_long": write_json(
+            tmp_path / "study_welch_default_long.json", {
+                "kind": "noise", "system": {"preset": "example2_polynomial"},
+                "n_trials": 1, "n_rep_set": [1], "n_a": 2, "n_b": 2,
+                "n_samples": 20, "welch_segment": None}),
         "study_n_samples_zero": write_json(
             tmp_path / "study_n_samples_zero.json", {
                 "kind": "noise", "system": {"preset": "example2_polynomial"},
@@ -801,6 +822,12 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
             "poly_coefficient_string": static_model(terms=[
                 {"exponents": [0], "coefficient": "0.0"},
                 {"exponents": [1], "coefficient": "2.5"}]),
+            "poly_coefficient_huge": static_model(terms=[
+                {"exponents": [0], "coefficient": 10**400},
+                {"exponents": [1], "coefficient": 1.0}]),
+            "poly_std_huge": static_model(
+                basis="hermite",
+                standardization={"mean": [0.0], "scale": [10**400]}),
             "poly_exponent_high": static_model(exponents=[2]),
             "poly_exponents_long": static_model(exponents=[0, 1]),
             "poly_exponent_float": static_model(exponents=[1.0]),

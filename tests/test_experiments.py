@@ -448,6 +448,9 @@ class TestStudies:
         for change, key in (({"n_rep_set": (1, -1)}, "n_rep"),
                             ({"basis": "legendre"}, "basis"),
                             ({"welch_segment": 2000}, "'welch_segment'"),
+                            # the default segment is at least 32 samples
+                            ({"welch_segment": None, "n_samples": 20},
+                             "'welch_segment'"),
                             ({"n_samples": 0}, "'n_samples'")):
             with pytest.raises(InvalidSpecError, match=key):
                 replace(cfg, **change)

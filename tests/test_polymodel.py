@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wiener_gobf import experiments, pipeline
+from wiener_gobf import experiments, pipeline, polymodel
 from wiener_gobf.errors import InvalidSpecError, RankDeficiencyWarning
 from wiener_gobf.gobf import build_bank, bank_outputs
 from wiener_gobf.polymodel import (
@@ -212,9 +213,12 @@ class TestFitLs:
         assert np.array_equal(beta, self.gelsd(psi, y))
 
     def test_target_length_must_match_rows(self):
-        psi = build_regressors(np.linspace(-1.0, 1.0, 20)[:, None], 2, MONOMIAL)
+        x = np.linspace(-1.0, 1.0, 20)[:, None]
+        psi = build_regressors(x, 2, MONOMIAL)
         with pytest.raises(InvalidSpecError, match="target length"):
             fit_ls(psi, np.ones(19))
+        with pytest.raises(InvalidSpecError, match="target length"):
+            fit_poly_model(x, np.ones(19), 2)
 
     def test_exact_interpolation(self):
         rng = np.random.default_rng(2)
@@ -310,6 +314,77 @@ class TestFitLs:
         X = bank_outputs(build_bank(pole_set, 3), u)
         psi = build_regressors(X, 3, HERMITE, ChannelStandardization.from_data(X))
         assert np.array_equal(fit_ls(psi, y.samples), self.gelsd(psi, y.samples))
+
+    def test_long_fit_builds_one_slice_at_a_time(self, monkeypatch):
+        """Above ROW_BLOCK rows the normal equations are summed over slices:
+        no build_regressors call sees more than ROW_BLOCK rows, and the
+        Cholesky coefficients match gelsd on the whole psi."""
+        rng = np.random.default_rng(8)
+        n = 4 * ROW_BLOCK + 123
+        X = rng.standard_normal((n, 3))
+        y = X[:, 0] - 0.4 * X[:, 1] * X[:, 2] + 0.1 * rng.standard_normal(n)
+        std = ChannelStandardization.from_data(X)
+        expected = self.gelsd(build_regressors(X, 3, HERMITE, std), y)
+        built = []
+
+        def spy(X, *args):
+            built.append(len(X))
+            return build_regressors(X, *args)
+
+        monkeypatch.setattr(polymodel, "build_regressors", spy)
+        monkeypatch.setattr(scipy.linalg, "lstsq", None)  # Cholesky path only
+        beta = fit_poly_model(X, y, 3).coefficients
+        assert built == [ROW_BLOCK] * 4 + [123]
+        np.testing.assert_allclose(beta, expected, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("n", [50, ROW_BLOCK])
+    @pytest.mark.parametrize("form", ["array", "rows"])
+    def test_one_slice_solves_the_whole_normal_equations(self, n, form):
+        """A record of at most ROW_BLOCK rows is one slice: the coefficients
+        are dpotrf/dpotrs on psi^T psi and psi^T y, bit for bit."""
+        psi, y = self.random_problem(n, np.linspace(1.0, 0.1, 12))
+        r, info = scipy.linalg.lapack.dpotrf(psi.T @ psi)
+        assert info == 0
+        expected, info = scipy.linalg.lapack.dpotrs(r, psi.T @ y)
+        assert info == 0
+        source = psi if form == "array" else lambda rows: psi[rows]
+        assert np.array_equal(fit_ls(source, y), expected)
+
+    @pytest.mark.parametrize("form", ["array", "rows"])
+    def test_long_ill_conditioned_fit_is_gelsd_exactly(self, form):
+        psi, y = self.random_problem(2 * ROW_BLOCK + 7, np.logspace(0, -6, 12))
+        assert np.linalg.cond(psi) > 1e4
+        source = psi if form == "array" else lambda rows: psi[rows]
+        assert np.array_equal(fit_ls(source, y), self.gelsd(psi, y))
+
+    @pytest.mark.parametrize("where", ["psi", "y"])
+    @pytest.mark.parametrize("form", ["array", "rows"])
+    def test_non_finite_long_record_rejected(self, where, form):
+        """A NaN in the last slice of a long record makes that slice's normal
+        equations non-finite, and the scan before gelsd finds it."""
+        data = dict(zip(("psi", "y"), self.random_problem(
+            2 * ROW_BLOCK + 7, np.linspace(1.0, 0.1, 6))))
+        data[where][-1] = np.nan
+        psi = data["psi"]
+        source = psi if form == "array" else lambda rows: psi[rows]
+        with pytest.raises(InvalidSpecError, match="regression data must be finite"):
+            fit_ls(source, data["y"])
+
+    def test_fit_holds_under_two_slices_of_psi(self):
+        """fit_poly_model at the benchmark's largest size (65532 x 10
+        channels, degree 3, 286 columns) never holds the whole psi, nor two
+        slices of it at once."""
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((65532, 10))
+        y = X[:, 0] + 0.5 * X[:, 1] ** 3
+        n_columns = math.comb(10 + 3, 3)
+        tracemalloc.start()
+        try:
+            fit_poly_model(X, y, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * ROW_BLOCK * n_columns * 8
 
     def test_scale_equivariance_in_target(self):
         rng = np.random.default_rng(6)
