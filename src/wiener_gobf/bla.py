@@ -13,13 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateExcitationError,
-    InvalidSpecError,
-    PoleStabilizationWarning,
-    RankDeficiencyError,
-    RepeatedPoleWarning,
-)
+from .errors import InvalidSpecError, PoleStabilizationWarning, RepeatedPoleWarning
 from .ratfun import RationalTF, poles as tf_poles, snap_near_real
 from .signals import SignalRecord
 
@@ -76,7 +70,7 @@ def estimate_frf(u: SignalRecord, y: SignalRecord) -> NonparametricBla:
 
     The input must be periodic with a known period.  Excited bins are
     detected from the averaged input spectrum; an input with no detected
-    bin raises ``DegenerateExcitationError``.
+    bin raises ``InvalidSpecError``.
     """
     if not u.periodic:
         raise InvalidSpecError("estimate_frf requires a periodic input record")
@@ -90,12 +84,12 @@ def estimate_frf(u: SignalRecord, y: SignalRecord) -> NonparametricBla:
 
     peak = float(np.max(np.abs(u_spec)))
     if peak == 0.0:
-        raise DegenerateExcitationError("input record has no power")
+        raise InvalidSpecError("input record has no power")
 
     half = np.arange(1, p // 2 + 1)
     bins = half[np.abs(u_spec[half]) > _EXCITED_DETECT_REL * peak]
     if len(bins) == 0:
-        raise DegenerateExcitationError("no excited bins detected")
+        raise InvalidSpecError("no excited bins detected")
 
     frf = y_spec[bins] / u_spec[bins]
     return NonparametricBla(excited_bins=bins, frf=frf, n_fft=p)
@@ -200,9 +194,8 @@ def fit_rational(frf: NonparametricBla, n_a: int, n_b: int) -> BlaFitResult:
         mr = np.vstack([m.real, m.imag])
         _, sv, vt = np.linalg.svd(mr, full_matrices=False)
         if len(sv) >= 2 and sv[-2] <= 1e-12 * sv[0]:
-            raise RankDeficiencyError(
-                "linearized normal system is singular; reduce n_a/n_b"
-            )
+            raise np.linalg.LinAlgError(
+                "linearized normal system is singular; reduce n_a/n_b")
         return _unit_norm(vt[-1])
 
     trace = []

@@ -4,8 +4,8 @@ Subcommands: generate, simulate, identify, predict, study, scatter.  Each
 ``cmd_*`` writes its outputs and returns ``(manifest_path, config, seeds,
 outputs)``.  ``main`` alone times the run and maps errors to exit codes; on
 success it writes the manifest, whose config and seeds re-derive any
-result, and prints the first output.  Exit codes: 0 success, 2
-usage/config error, 3 numerical/estimation failure.
+result, and prints the first output.  Exit codes: 0 success, 2 usage error or
+``InvalidSpecError``, 3 ``EstimationError`` or ``LinAlgError``.
 """
 
 from __future__ import annotations
@@ -20,14 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, experiments, gobf, pipeline
-from .errors import (
-    EstimationError,
-    InvalidSpecError,
-    RankDeficiencyError,
-    SingularityError,
-    UnstableFilterError,
-    json_kwargs,
-)
+from .errors import EstimationError, InvalidSpecError, json_kwargs
 from .pipeline import IdentifyConfig, WienerModel, WienerSystem
 from .signals import (
     MultisineSpec,
@@ -40,9 +33,8 @@ from .signals import (
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# Failures of the computation itself, as opposed to bad input.
-NUMERICAL_ERRORS = (UnstableFilterError, SingularityError, RankDeficiencyError,
-                    np.linalg.LinAlgError, EstimationError)
+# Failures of the computation itself; bad input is an InvalidSpecError.
+NUMERICAL_ERRORS = (EstimationError, np.linalg.LinAlgError)
 # What parsing a config, model, signal, records or manifest file raises on
 # bad content (JSON syntax errors are ValueErrors).
 MALFORMED_FILE_ERRORS = (LookupError, TypeError, ValueError)

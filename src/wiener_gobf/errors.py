@@ -62,22 +62,6 @@ def _expect(key: str, value, ok: bool, expected: str) -> None:
                                f"not {type(value).__name__}")
 
 
-class UnstableFilterError(ValueError):
-    """A filter required to be stable has poles on or outside the unit circle."""
-
-
-class SingularityError(ArithmeticError):
-    """A frequency-response denominator vanished on the evaluation grid."""
-
-
-class DegenerateExcitationError(ValueError):
-    """An excited bin carries (numerically) no input power."""
-
-
-class RankDeficiencyError(RuntimeError):
-    """The normal system of a parametric fit is singular; try lower orders."""
-
-
 class EstimationError(RuntimeError):
     """A stage of the identification chain failed; the message carries the stage tag."""
 

@@ -217,7 +217,7 @@ def _csv_text(value) -> str:
 
 def _read_bool(text: str) -> bool:
     if text not in ("True", "False"):
-        raise ValueError(f"a bool cell must read True or False, not {text!r}")
+        raise InvalidSpecError(f"a bool cell must read True or False, not {text!r}")
     return text == "True"
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, UnstableFilterError
+from .errors import InvalidSpecError
 from .polymodel import fit_ls
 from .ratfun import RationalTF, filter_time
 from .signals import SignalRecord
@@ -72,10 +72,8 @@ class GobfBank:
             raise InvalidSpecError("bank poles must be finite")
         if self.n_rep > 0:
             if np.any(np.abs(base) >= 1.0):
-                raise UnstableFilterError(
-                    "bank poles must lie strictly inside the unit circle; "
-                    "run stabilize_poles first"
-                )
+                raise InvalidSpecError("bank poles must lie strictly inside the unit "
+                                       "circle; run stabilize_poles first")
             base = _canonical_pole_order(base)
         object.__setattr__(self, "base_poles", base)
 

@@ -8,6 +8,7 @@ used for nonlinearity shape inspection lives here as well.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Union
@@ -69,6 +70,11 @@ class WienerSystem:
     g: RationalTF
     f: StaticNonlinearity
     output_noise: Optional[NoiseSpec] = None
+
+    def __post_init__(self):
+        if not self.g.is_stable():
+            raise InvalidSpecError("'g' has poles on or outside the unit circle; "
+                                   "a Wiener system's linear block must be stable")
 
     def with_noise_seed(self, seed: int) -> "WienerSystem":
         if self.output_noise is None:
@@ -190,6 +196,15 @@ class WienerModel:
             return cls.from_json_dict(json.load(fh))
 
 
+@contextlib.contextmanager
+def _stage(name: str):
+    """Re-raise any failure of the enclosed step as ``EstimationError(name)``."""
+    try:
+        yield
+    except Exception as exc:
+        raise EstimationError(name, str(exc)) from exc
+
+
 def estimate_bla_poles(u: SignalRecord, y: SignalRecord,
                        cfg: IdentifyConfig) -> tuple[np.ndarray, bla.BlaFitResult]:
     """Steps 1a-1c: nonparametric FRF, rational fit, stabilized poles."""
@@ -197,17 +212,13 @@ def estimate_bla_poles(u: SignalRecord, y: SignalRecord,
     if not u.periodic and segment > len(u.samples):
         raise InvalidSpecError(f"'welch_segment' is {segment}, longer than "
                                f"the {len(u.samples)}-sample record")
-    try:
+    with _stage("frf"):
         if u.periodic:
             frf = bla.estimate_frf(u, y)
         else:
             frf = bla.estimate_frf_welch(u, y, segment_length=segment)
-    except Exception as exc:
-        raise EstimationError("frf", str(exc)) from exc
-    try:
+    with _stage("rational-fit"):
         fit = bla.fit_rational(frf, cfg.n_a, cfg.n_b)
-    except Exception as exc:
-        raise EstimationError("rational-fit", str(exc)) from exc
     return bla.stabilize_poles(fit.poles), fit
 
 
@@ -217,11 +228,9 @@ def _assemble(u: SignalRecord, y: SignalRecord, bank: gobf.GobfBank,
     """Fit the polynomial on the leading ``bank.n_outputs`` columns of X."""
     X = X[:, :bank.n_outputs]
     discard = 0 if u.periodic else gobf.transient_length(bank, len(u.samples))
-    try:
+    with _stage("regression"):
         poly = polymodel.fit_poly_model(X[discard:], y.samples[discard:],
                                         degree=cfg.degree, basis=cfg.basis)
-    except Exception as exc:
-        raise EstimationError("regression", str(exc)) from exc
 
     provenance = {
         "config": cfg.to_json_dict(),
@@ -249,14 +258,10 @@ def identify(u: SignalRecord, y: SignalRecord, cfg: IdentifyConfig) -> WienerMod
         bank = gobf.GobfBank(base_poles=np.array([], dtype=complex), n_rep=0)
     else:
         pole_set, fit = estimate_bla_poles(u, y, cfg)
-        try:
+        with _stage("bank"):
             bank = gobf.build_bank(pole_set, cfg.n_rep)
-        except Exception as exc:
-            raise EstimationError("bank", str(exc)) from exc
-    try:
+    with _stage("bank-outputs"):
         X = gobf.bank_outputs(bank, u)
-    except Exception as exc:
-        raise EstimationError("bank-outputs", str(exc)) from exc
     return _assemble(u, y, bank, cfg, fit, X)
 
 
@@ -289,10 +294,7 @@ def estimate_intermediate(bank: gobf.GobfBank, y: SignalRecord,
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != bank.n_outputs:
         raise InvalidSpecError("X column count must match the bank outputs")
-    target = np.asarray(y.samples, dtype=float)
-    if len(target) != X.shape[0]:
-        raise InvalidSpecError("y length must match X rows")
-    return X @ polymodel.fit_ls(X, target)
+    return X @ polymodel.fit_ls(X, y.samples)
 
 
 def _paired_samples(y, yhat) -> tuple[np.ndarray, np.ndarray]:

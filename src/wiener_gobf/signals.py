@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import InvalidSpecError, UnstableFilterError, json_kwargs
+from .errors import InvalidSpecError, json_kwargs
 
 if TYPE_CHECKING:
     from .ratfun import RationalTF
@@ -260,7 +260,7 @@ class NoiseSpec:
         if abs(h.b[0] - 1.0) > 1e-12 or abs(h.a[0] - 1.0) > 1e-12:
             raise InvalidSpecError("shaping filter must be monic")
         if not h.is_stable():
-            raise UnstableFilterError(
+            raise InvalidSpecError(
                 "shaping filter has poles on or outside the unit circle")
 
     def with_seed(self, seed: int) -> "NoiseSpec":

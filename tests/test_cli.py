@@ -442,7 +442,11 @@ class TestStudy:
 # the exit code, and a text the error message must contain.
 MALFORMED_INPUT_CASES = {
     "simulate-unstable-system": (
-        ["simulate", "--config", "{unstable}", "--input", "{u}"], 3, "stable"),
+        ["simulate", "--config", "{unstable}", "--input", "{u}"], 2, "stable"),
+    # a / a[0] overflows, so np.roots cannot find the poles
+    "simulate-overflowing-denominator": (
+        ["simulate", "--config", "{overflowing_g}", "--input", "{u}"], 2,
+        "'g'"),
     "predict-model-without-poles": (
         ["predict", "--model", "{no_poles}", "--u", "{u}"], 2, "base_poles"),
     "predict-non-json-model": (
@@ -604,7 +608,7 @@ MALFORMED_INPUT_CASES = {
     "study-negative-noise-variance": (
         ["study", "--config", "{study_negative_variance}"], 2, "'variance'"),
     "simulate-noiseless-unstable-shaping-filter": (
-        ["simulate", "--config", "{unstable_shaping}", "--input", "{u}"], 3,
+        ["simulate", "--config", "{unstable_shaping}", "--input", "{u}"], 2,
         "unit circle"),
     # y = 2x, had the file been read as written
     "predict-repeated-term": (
@@ -620,6 +624,9 @@ MALFORMED_INPUT_CASES = {
     "identify-welch_segment-longer-than-the-record": (
         ["identify", "--config", "{identify_welch_long}", "--u", "{u_csv}",
          "--y", "{u_csv}"], 2, "'welch_segment'"),
+    # NRMSE ~ 1 for every n_rep and no failed record, had it run
+    "study-noise-unstable-system": (
+        ["study", "--config", "{study_noise_unstable}"], 2, "'g'"),
     "study-zero-noise-n_samples": (
         ["study", "--config", "{study_n_samples_zero}"], 2, "'n_samples'"),
     # float(10**400) overflows
@@ -716,6 +723,9 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
         "unstable": write_json(tmp_path / "unstable.json", {
             "g": {"b": [1.0], "a": [1.0, -1.5]},
             "nonlinearity": {"kind": "polynomial", "coefficients": [0.0, 1.0]}}),
+        "overflowing_g": write_json(tmp_path / "overflowing_g.json", {
+            "g": {"b": [1.0], "a": [1e-300, 1e300]},
+            "nonlinearity": {"kind": "polynomial", "coefficients": [0.0, 1.0]}}),
         "study_typo": write_json(tmp_path / "study.json", {
             "kind": "pole_rate", "system": {"preset": "example1"},
             "n_trials": 1, "n_trails": 5, "n_freqs_grid": [32]}),
@@ -786,6 +796,14 @@ def test_malformed_input_exits_cleanly(case, tmp_path, out):
         "negative_variance": write_json(
             tmp_path / "negative_variance.json",
             dict(IDENTITY_SYSTEM, noise={"variance": -1, "seed": 1})),
+        "study_noise_unstable": write_json(
+            tmp_path / "study_noise_unstable.json", {
+                "kind": "noise", "n_trials": 1, "n_rep_set": [1], "n_a": 1,
+                "n_b": 1, "system": {
+                    "g": {"b": [1.0], "a": [1.0, -1.2]},
+                    "nonlinearity": {"kind": "polynomial",
+                                     "coefficients": [0.0, 1.0]},
+                    "noise": {"variance": 0.01}}}),
         "unstable_shaping": write_json(
             tmp_path / "unstable_shaping.json",
             dict(IDENTITY_SYSTEM, noise={

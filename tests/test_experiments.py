@@ -455,6 +455,15 @@ class TestStudies:
             with pytest.raises(InvalidSpecError, match=key):
                 replace(cfg, **change)
 
+    def test_noise_study_on_an_unstable_system_rejected(self):
+        """Run, it would score NRMSE ~ 1 for every n_rep without a failed
+        record; the system refuses its unstable linear block when built."""
+        doc = StudyConfig(kind=NOISE, system=example2_polynomial_system(),
+                          n_trials=1, n_a=2, n_b=2).to_json_dict()
+        doc["system"]["g"] = {"b": [1.0], "a": [1.0, -1.2]}
+        with pytest.raises(InvalidSpecError, match="'g'"):
+            StudyConfig.from_json_dict(doc)
+
     def test_prior_trial_beyond_n_trials_rejected(self):
         cfg = StudyConfig(kind=POLE_RATE, system=example1_system(),
                           n_trials=2, n_freqs_grid=(32,))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiener_gobf.errors import InvalidSpecError, UnstableFilterError
+from wiener_gobf.errors import InvalidSpecError
 from wiener_gobf.ratfun import RationalTF
 from wiener_gobf.signals import (
     MultisineSpec,
@@ -113,7 +113,7 @@ class TestNoise:
 
     def test_unstable_shaping_filter_rejected(self):
         h = RationalTF(b=np.array([1.0]), a=np.array([1.0, -1.5]))
-        with pytest.raises(UnstableFilterError):
+        with pytest.raises(InvalidSpecError):
             generate_noise(NoiseSpec(variance=1.0, shaping_filter=h), 10)
 
     def test_non_monic_shaping_filter_rejected(self):
