@@ -9,8 +9,9 @@ used for nonlinearity shape inspection lives here as well.
 from __future__ import annotations
 
 import contextlib
+import copy
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -79,7 +80,10 @@ class WienerSystem:
     def with_noise_seed(self, seed: int) -> "WienerSystem":
         if self.output_noise is None:
             return self
-        return replace(self, output_noise=self.output_noise.with_seed(seed))
+        # Only the noise changes, so g is not checked a second time.
+        system = copy.copy(self)
+        object.__setattr__(system, "output_noise", self.output_noise.with_seed(seed))
+        return system
 
     def to_json_dict(self) -> dict:
         doc = {"g": self.g.to_json_dict(), "nonlinearity": self.f.to_json_dict()}

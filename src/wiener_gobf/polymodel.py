@@ -112,7 +112,7 @@ def build_regressors(X: np.ndarray, degree: int, basis: str,
     indices = enumerate_multi_indices(n_ch, degree)
     position = {expo: j for j, expo in enumerate(indices)}
     # Fortran order: each column is contiguous, psi.T @ psi is one syrk, and
-    # gelsd works on psi itself, not on a transposed copy.
+    # lstsq hands gelsd a plain copy instead of a transposed one.
     # Column j is its parent column (the same index with the last nonzero
     # channel set to 0, an earlier column in graded order) times one channel
     # row, so every product keeps the channel order ((t_a * t_b) * t_c).
@@ -149,8 +149,7 @@ def fit_ls(psi, y) -> np.ndarray:
     ``ROW_BLOCK`` rows, when psi is tall and well conditioned; otherwise
     SVD-based gelsd on the whole psi, whose rank deficiency yields the
     minimum-norm solution and a warning (the overparameterized regime is
-    expected for rich banks on short records).  Neither path modifies y or a
-    psi array; gelsd works in place on a fresh psi that a row function built.
+    expected for rich banks on short records).  Neither path modifies psi or y.
     """
     y = np.asarray(y, dtype=float)
     rows_of = psi if callable(psi) else psi.__getitem__
@@ -177,21 +176,14 @@ def fit_ls(psi, y) -> np.ndarray:
     psi = rows_of(slice(None))
     if not known_finite and not (np.all(np.isfinite(psi)) and np.all(np.isfinite(y))):
         raise InvalidSpecError("regression data must be finite")
-    # gelsd as scipy.linalg.lstsq calls it, but lstsq always copies psi for
-    # gelsd.  psi[:] of an array is a view, so only a fresh psi is overwritten.
-    (m, n), eps = psi.shape, np.finfo(float).eps
-    beta, rank = np.zeros(n), 0
-    if m and n:  # LAPACK refuses an empty dimension; lstsq returns zeros
-        lwork, iwork, _ = scipy.linalg.lapack.dgelsd_lwork(m, n, 1, eps)
-        x, _, rank, info = scipy.linalg.lapack.dgelsd(
-            psi, np.r_[y, np.zeros(max(n - m, 0))], int(lwork), iwork, eps,
-            overwrite_a=psi.base is None, overwrite_b=True)
-        if info:
-            raise np.linalg.LinAlgError("SVD did not converge in gelsd")
-        beta = x[:n]
-    if rank < n:
-        warnings.warn(f"rank-deficient regression ({rank}/{n}); minimum-norm "
-                      "solution returned", RankDeficiencyWarning)
+    # The finiteness check above is the only one: lstsq's own would scan psi
+    # a second time.
+    beta, _, rank, _ = scipy.linalg.lstsq(psi, y, lapack_driver="gelsd",
+                                          check_finite=False)
+    if rank < psi.shape[1]:
+        warnings.warn(
+            f"rank-deficient regression ({rank}/{psi.shape[1]}); "
+            "minimum-norm solution returned", RankDeficiencyWarning)
     return beta
 
 

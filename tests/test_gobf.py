@@ -313,7 +313,7 @@ class TestProjection:
 
     def test_unstable_target_rejected(self):
         bad = RationalTF(b=np.array([1.0]), a=np.array([1.0, -1.5]))
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidSpecError, match="stable filter"):
             project_expansion(bad, build_bank(EX1_POLES, 1))
 
     def test_residual_rate_with_estimated_poles(self):

@@ -82,6 +82,14 @@ class TestSimulate:
         assert not np.allclose(y1.samples, y2.samples)
         assert np.std(y1.samples - y0.samples) < 0.2
 
+    def test_noise_seed_does_not_recheck_g(self, monkeypatch):
+        system = WienerSystem(g=EX1_G, f=EX1_F,
+                              output_noise=NoiseSpec(variance=0.01, seed=1))
+        monkeypatch.setattr(RationalTF, "is_stable", None)  # g was checked once
+        reseeded = system.with_noise_seed(2)
+        assert reseeded.output_noise.seed == 2 and system.output_noise.seed == 1
+        assert reseeded.g is system.g and reseeded.f is system.f
+
 
 class TestIdentify:
     def test_linear_truth_is_recovered_to_machine_level(self):

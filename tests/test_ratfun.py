@@ -60,7 +60,7 @@ class TestFreqResponse:
 
     def test_singularity_raises(self):
         tf = RationalTF(b=np.array([1.0]), a=np.array([1.0, -1.0]))
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidSpecError, match="vanishes"):
             freq_response(tf, [0.0])
 
 
@@ -106,7 +106,7 @@ class TestFilterTime:
     def test_unstable_filter_rejected_in_periodic_mode(self):
         tf = RationalTF(b=np.array([1.0]), a=np.array([1.0, -1.2]))
         u = generate_multisine(MultisineSpec(n_samples=64, n_freqs=8, seed=1))
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidSpecError, match="stable filter"):
             filter_time(tf, u)
 
     def test_aperiodic_record_filtered_from_rest(self):

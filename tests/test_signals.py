@@ -113,7 +113,7 @@ class TestNoise:
 
     def test_unstable_shaping_filter_rejected(self):
         h = RationalTF(b=np.array([1.0]), a=np.array([1.0, -1.5]))
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidSpecError, match="unit circle"):
             generate_noise(NoiseSpec(variance=1.0, shaping_filter=h), 10)
 
     def test_non_monic_shaping_filter_rejected(self):
